@@ -63,6 +63,10 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     DiskCacheAttachment disk(opts);
     if (opts.stats)
         obs::setGlobalStats(&sinks.stats());
+    SweepOptions sopts = sweepOptions(opts, sinks);
+    // The per-kernel lowering and cycle simulation run outside any
+    // sweep; time them as phases so --profile accounts for them.
+    obs::StatsScope phase(sopts.stats, "phase");
 
     const FrameGeometry geom{48, 32};
     int trace_pid = 100; // sweep timeline owns the low pids.
@@ -96,7 +100,9 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                 cfg.cluster.hasAbsDiff = true;
             MachineModel machine(cfg);
 
-            Function fn = lowerVariant(k, v, machine);
+            Function fn = obs::timedPhase(phase, "lowering", [&] {
+                return lowerVariant(k, v, machine);
+            });
             MemoryImage mem(fn);
             k.prepare(fn, mem, geom, 0);
             CycleSim sim(machine, v.mode);
@@ -105,7 +111,8 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                              model_name + "/" + k.name);
             }
             obs::GroupTelemetry t;
-            CycleSimReport rep = sim.run(fn, mem, &t);
+            CycleSimReport rep = obs::timedPhase(
+                phase, "cycle_sim", [&] { return sim.run(fn, mem, &t); });
             if (!opts.traceFile.empty())
                 trace_pid = sim.nextTracePid();
             model_total.addScaled(t, 1);
@@ -190,7 +197,6 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
         findExperimentSpec("conclusions");
     const SpecSection &fs_section = conclusions->sections.front();
     SectionGrid grid = lowerSection(*conclusions, fs_section);
-    SweepOptions sopts = sweepOptions(opts, sinks);
     SweepRunner runner(sopts);
     std::vector<ExperimentResult> results = runner.run(grid.requests);
 

@@ -253,6 +253,18 @@ DependenceGraph::build(const std::vector<Operation> &ops,
 }
 
 void
+DependenceGraph::build(size_t num_ops, const std::vector<DepEdge> &edges)
+{
+    num_ops_ = num_ops;
+    edges_.clear();
+    edge_index_.clear();
+    for (const DepEdge &e : edges)
+        addEdge(e.from, e.to, e.latency, e.distance, e.kind);
+    buildCsr();
+    computeHeights();
+}
+
+void
 DependenceGraph::addEdge(int from, int to, int latency, int distance,
                          DepKind kind)
 {
@@ -359,30 +371,72 @@ DependenceGraph::criticalPathLength() const
 bool
 DependenceGraph::relaxationFeasible(int ii) const
 {
-    // No cycle has positive (latency - II*dist) weight; checked with
-    // Bellman-Ford on longest paths over the reused scratch vector.
-    bfDist_.assign(num_ops_, 0);
-    bool changed = true;
-    bool positive_cycle = false;
-    for (size_t iter = 0; iter <= num_ops_ && changed; ++iter) {
-        changed = false;
-        for (const auto &e : edges_) {
-            int w = e.latency - ii * e.distance;
-            int cand = bfDist_[static_cast<size_t>(e.from)] + w;
-            if (cand > bfDist_[static_cast<size_t>(e.to)]) {
-                bfDist_[static_cast<size_t>(e.to)] = cand;
-                changed = true;
-                if (iter == num_ops_)
-                    positive_cycle = true;
+    // II is feasible iff no cycle has positive weight
+    // latency - II*distance: longest-path Bellman-Ford from an
+    // implicit zero source, over the reused scratch vectors.
+    // Gauss-Seidel order: each op relaxes its predecessor row in op
+    // index order, so distance-0 edges (always forward) settle in one
+    // sweep and only loop-carried edges need more.
+    const size_t n = num_ops_;
+    bfDist_.assign(n, 0);
+    bfParent_.assign(n, -1);
+    int *dist = bfDist_.data();
+    int *parent = bfParent_.data();
+    // n+1 sweeps bound the search exactly as plain Bellman-Ford does;
+    // the parent check below ends infeasible probes long before.
+    for (size_t sweep = 0; sweep <= n; ++sweep) {
+        ++sweeps_;
+        bool changed = false;
+        for (size_t v = 0; v < n; ++v) {
+            for (int e : predEdges(static_cast<int>(v))) {
+                const DepEdge &edge = edges_[static_cast<size_t>(e)];
+                int cand = dist[edge.from] + edge.latency -
+                           ii * edge.distance;
+                if (cand > dist[v]) {
+                    dist[v] = cand;
+                    parent[v] = edge.from;
+                    changed = true;
+                }
             }
         }
+        if (!changed)
+            return true;
+        if (parentCycle())
+            return false;
     }
-    return !positive_cycle && !changed;
+    return false;
+}
+
+bool
+DependenceGraph::parentCycle() const
+{
+    // Every op's parent is the predecessor that last strictly raised
+    // its distance. A cycle among parent pointers has positive weight
+    // (the Bellman-Ford predecessor-graph lemma), so finding one
+    // proves the probe infeasible. Each walk stamps the ops it
+    // visits; reaching an op stamped by the same walk closes a cycle.
+    const size_t n = num_ops_;
+    bfStamp_.assign(n, 0);
+    int walk = 0;
+    for (size_t v = 0; v < n; ++v) {
+        if (bfStamp_[v] != 0)
+            continue;
+        ++walk;
+        int u = static_cast<int>(v);
+        while (u >= 0 && bfStamp_[static_cast<size_t>(u)] == 0) {
+            bfStamp_[static_cast<size_t>(u)] = walk;
+            u = bfParent_[static_cast<size_t>(u)];
+        }
+        if (u >= 0 && bfStamp_[static_cast<size_t>(u)] == walk)
+            return true;
+    }
+    return false;
 }
 
 int
 DependenceGraph::recurrenceMii() const
 {
+    sweeps_ = 0;
     if (num_ops_ == 0)
         return 1;
     // A cycle in a valid graph needs at least one carried edge; with

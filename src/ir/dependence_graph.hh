@@ -97,6 +97,14 @@ class DependenceGraph
     void build(const std::vector<Operation> &ops,
                const LatencyFn &latency, bool loop_carried);
 
+    /**
+     * Rebuild from an explicit edge list over `num_ops` operations
+     * (synthetic graphs for property tests). Duplicate edge
+     * identities merge at the larger latency, as in the
+     * operation-driven build.
+     */
+    void build(size_t num_ops, const std::vector<DepEdge> &edges);
+
     size_t numOps() const { return num_ops_; }
     const std::vector<DepEdge> &edges() const { return edges_; }
 
@@ -121,6 +129,13 @@ class DependenceGraph
      */
     int recurrenceMii() const;
 
+    /**
+     * Relaxation sweeps the last recurrenceMii() call made over all
+     * feasibility probes: a deterministic work count, independent of
+     * host speed.
+     */
+    long recurrenceSweeps() const { return sweeps_; }
+
     std::string str() const;
 
   private:
@@ -129,6 +144,7 @@ class DependenceGraph
     void buildCsr();
     void computeHeights();
     bool relaxationFeasible(int ii) const;
+    bool parentCycle() const;
 
     size_t num_ops_ = 0;
     std::vector<DepEdge> edges_;
@@ -151,6 +167,9 @@ class DependenceGraph
     std::vector<int> opLatency_;
     /** recurrenceMii scratch (reused across feasibility probes). */
     mutable std::vector<int> bfDist_;
+    mutable std::vector<int> bfParent_;
+    mutable std::vector<int> bfStamp_;
+    mutable long sweeps_ = 0;
 };
 
 } // namespace vvsp

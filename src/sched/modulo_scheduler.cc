@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -142,13 +143,15 @@ ModuloScheduler::resourceMii(const std::vector<Operation> &ops) const
     return mii;
 }
 
-bool
+ModuloScheduler::AttemptOutcome
 ModuloScheduler::attempt(const std::vector<Operation> &ops,
                          const DependenceGraph &ddg, int ii,
                          const std::vector<int> &by_priority,
                          ReservationTable &table,
                          std::vector<int> *start) const
 {
+    using Kind = AttemptOutcome::Kind;
+    AttemptOutcome outcome;
     const int n = static_cast<int>(ops.size());
     start->assign(static_cast<size_t>(n), -1);
     // All scratch from the worker's arena: zero heap churn at steady
@@ -212,6 +215,7 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
                       slot_of[static_cast<size_t>(i)]);
         (*start)[static_cast<size_t>(i)] = -1;
         row_unlink(i);
+        outcome.evictions++;
         int r = rank_of[static_cast<size_t>(i)];
         unplaced[static_cast<size_t>(r) / 64] |= uint64_t{1}
                                                  << (r % 64);
@@ -232,9 +236,11 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
             }
         }
         if (op_idx < 0)
-            return true; // all placed.
-        if (budget-- <= 0)
-            return false;
+            return outcome; // all placed.
+        if (budget-- <= 0) {
+            outcome.kind = Kind::FailBudget;
+            return outcome;
+        }
 
         int estart = 0;
         for (int e : ddg.predEdges(op_idx)) {
@@ -288,10 +294,48 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
         // Self-edges (loop-carried) must hold: lat <= ii * dist.
         for (int e : ddg.succEdges(op_idx)) {
             const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
-            if (edge.to == op_idx && edge.latency > ii * edge.distance)
-                return false; // recurrence cannot fit this II.
+            if (edge.to == op_idx &&
+                edge.latency > ii * edge.distance) {
+                // The recurrence cannot fit this II.
+                outcome.kind = Kind::FailRecurrence;
+                return outcome;
+            }
         }
     }
+}
+
+ModuloScheduler::AttemptOutcome
+ModuloScheduler::timedAttempt(const std::vector<Operation> &ops,
+                              const DependenceGraph &ddg, int ii,
+                              const std::vector<int> &by_priority,
+                              ReservationTable &table,
+                              std::vector<int> *start) const
+{
+    if (!stats_.enabled())
+        return attempt(ops, ddg, ii, by_priority, table, start);
+    auto t0 = std::chrono::steady_clock::now();
+    AttemptOutcome outcome =
+        attempt(ops, ddg, ii, by_priority, table, start);
+    outcome.us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    return outcome;
+}
+
+void
+ModuloScheduler::recordAttempt(const AttemptOutcome &outcome) const
+{
+    if (!stats_.enabled())
+        return;
+    using Kind = AttemptOutcome::Kind;
+    obs::StatsScope swp = stats_.scope("swp");
+    swp.bump(outcome.kind == Kind::Ok ? "attempts_ok"
+             : outcome.kind == Kind::FailBudget
+                 ? "attempts_fail_budget"
+                 : "attempts_fail_recurrence");
+    swp.bump("evictions", outcome.evictions);
+    swp.sample("attempt_us", outcome.us);
 }
 
 BlockSchedule
@@ -402,7 +446,8 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         // scratch, so extra speculative results are simply discarded.
         for (int base = mii; base <= max_ii && !exhausted;) {
             int wave = std::min(width, max_ii - base + 1);
-            std::vector<uint8_t> ok(static_cast<size_t>(wave), 0);
+            std::vector<AttemptOutcome> outcomes(
+                static_cast<size_t>(wave));
             std::vector<BlockSchedule> cands(
                 static_cast<size_t>(wave));
             TaskGroup group(pool);
@@ -411,11 +456,13 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                     int ii = base + k;
                     ReservationTable tab(machine_, ii, bank_of_);
                     std::vector<int> start;
-                    if (attempt(ops, ddg, ii, by_priority, tab,
-                                &start)) {
+                    AttemptOutcome &outcome =
+                        outcomes[static_cast<size_t>(k)];
+                    outcome = timedAttempt(ops, ddg, ii, by_priority,
+                                           tab, &start);
+                    if (outcome.ok()) {
                         cands[static_cast<size_t>(k)] =
                             build(ii, start);
-                        ok[static_cast<size_t>(k)] = 1;
                     }
                 });
             }
@@ -427,7 +474,10 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                 }
                 if (failpoint::evaluate("sched/ii_attempt"))
                     continue; // forced infeasible.
-                if (!ok[static_cast<size_t>(k)])
+                const AttemptOutcome &outcome =
+                    outcomes[static_cast<size_t>(k)];
+                recordAttempt(outcome);
+                if (!outcome.ok())
                     continue;
                 if (consume(std::move(cands[static_cast<size_t>(k)])))
                     return decided;
@@ -443,7 +493,10 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
             }
             if (failpoint::evaluate("sched/ii_attempt"))
                 continue; // forced infeasible.
-            if (!attempt(ops, ddg, ii, by_priority, table_, &start))
+            AttemptOutcome outcome =
+                timedAttempt(ops, ddg, ii, by_priority, table_, &start);
+            recordAttempt(outcome);
+            if (!outcome.ok())
                 continue;
             if (consume(build(ii, start)))
                 return decided;

@@ -90,6 +90,22 @@ class ModuloScheduler
     int resourceMii(const std::vector<Operation> &ops) const;
 
   private:
+    /** How one II attempt ended, and what it cost. */
+    struct AttemptOutcome
+    {
+        enum class Kind : uint8_t
+        {
+            Ok,             ///< every op placed.
+            FailBudget,     ///< placement budget exhausted.
+            FailRecurrence, ///< a self-recurrence cannot fit the II.
+        };
+        Kind kind = Kind::Ok;
+        uint64_t evictions = 0; ///< placed ops unscheduled again.
+        uint64_t us = 0;        ///< wall time; 0 with stats off.
+
+        bool ok() const { return kind == Kind::Ok; }
+    };
+
     /**
      * One II try. `by_priority` lists op indices sorted by height
      * (descending, ties in program order) - the scheduling priority,
@@ -99,10 +115,27 @@ class ModuloScheduler
      * search, a private table per speculative task); all other
      * scratch comes from the worker's SchedArena.
      */
-    bool attempt(const std::vector<Operation> &ops,
-                 const DependenceGraph &ddg, int ii,
-                 const std::vector<int> &by_priority,
-                 ReservationTable &table, std::vector<int> *start) const;
+    AttemptOutcome attempt(const std::vector<Operation> &ops,
+                           const DependenceGraph &ddg, int ii,
+                           const std::vector<int> &by_priority,
+                           ReservationTable &table,
+                           std::vector<int> *start) const;
+
+    /** attempt(), timed only when stats are enabled. */
+    AttemptOutcome timedAttempt(const std::vector<Operation> &ops,
+                                const DependenceGraph &ddg, int ii,
+                                const std::vector<int> &by_priority,
+                                ReservationTable &table,
+                                std::vector<int> *start) const;
+
+    /**
+     * Record a consumed attempt under "sched/swp/": outcome counters
+     * (attempts_ok, attempts_fail_budget, attempts_fail_recurrence),
+     * evictions, and the attempt_us distribution. Called only for
+     * results consumed in ascending II order, so the counts are the
+     * same at any thread count.
+     */
+    void recordAttempt(const AttemptOutcome &outcome) const;
 
     const MachineModel &machine_;
     BankOfFn bank_of_;

@@ -204,20 +204,37 @@ TEST(SweepStats, DeterministicAcrossThreadCounts)
         return runner.run(requests);
     };
 
-    obs::StatsRegistry serial, parallel2;
+    obs::StatsRegistry serial;
     auto r1 = runWith(1, serial);
-    auto r2 = runWith(2, parallel2);
+    for (int threads : {2, 4}) {
+        // Beyond one thread the modulo scheduler attempts IIs
+        // speculatively in waves; only the attempts consumed in
+        // ascending II order may be counted.
+        obs::StatsRegistry parallel;
+        auto rn = runWith(threads, parallel);
+        ASSERT_EQ(r1.size(), rn.size());
+        for (size_t i = 0; i < r1.size(); ++i)
+            EXPECT_EQ(r1[i].cyclesPerFrame, rn[i].cyclesPerFrame);
 
-    ASSERT_EQ(r1.size(), r2.size());
-    for (size_t i = 0; i < r1.size(); ++i)
-        EXPECT_EQ(r1[i].cyclesPerFrame, r2[i].cyclesPerFrame);
-
-    EXPECT_EQ(serial.counters(), parallel2.counters());
-    EXPECT_EQ(deterministicDists(serial),
-              deterministicDists(parallel2));
+        EXPECT_EQ(serial.counters(), parallel.counters())
+            << threads << " threads";
+        EXPECT_EQ(deterministicDists(serial),
+                  deterministicDists(parallel))
+            << threads << " threads";
+    }
     // The registries actually saw the pipeline.
     EXPECT_EQ(serial.counterValue("sweep/cells"), requests.size());
     EXPECT_GT(serial.counterValue("xform/lowerings"), 0u);
+    // Every consumed II attempt has exactly one outcome and one
+    // attempt_us sample.
+    uint64_t ok = serial.counterValue("sched/swp/attempts_ok");
+    uint64_t attempts =
+        ok + serial.counterValue("sched/swp/attempts_fail_budget") +
+        serial.counterValue("sched/swp/attempts_fail_recurrence");
+    EXPECT_GT(ok, 0u);
+    EXPECT_EQ(
+        serial.distributionValue("sched/swp/attempt_us").count(),
+        attempts);
 }
 
 /** Minimal JSON well-formedness scan: balanced structure outside
