@@ -73,39 +73,32 @@ fsckCacheDir(const std::string &dir, bool repair)
         std::string name = p.filename().string();
         std::string path = p.string();
 
-        // Orphan temp files: a writer died between creating its
-        // unique temp and the publishing rename. Never read by
-        // anyone; repair deletes them.
-        if (name.find(".tmp.") != std::string::npos) {
-            if (repair) {
-                fs::remove(p, ec);
-                addFinding(report, path, "orphan temp file",
-                           ec ? "none" : "removed", !ec);
-            } else {
-                addFinding(report, path, "orphan temp file", "none",
-                           false);
-            }
+        // Files nobody reads: orphan temps (a writer died between
+        // creating its unique temp and the publishing rename) and
+        // encoded-schedule blobs left by builds that still cached
+        // them. Repair deletes them.
+        const char *stray = nullptr;
+        if (name.find(".tmp.") != std::string::npos)
+            stray = "orphan temp file";
+        else if (p.extension() == ".blob")
+            stray = "obsolete isa-module blob";
+        if (stray) {
+            bool removed = repair && fs::remove(p, ec) && !ec;
+            addFinding(report, path, stray,
+                       removed ? "removed" : "none", removed);
             continue;
         }
-
-        std::string why, seed;
-        bool ok;
-        if (p.extension() == ".entry") {
-            ok = DiskCache::validateEntryFile(path, &seed, &why);
-        } else if (p.extension() == ".blob") {
-            std::string hash_seed;
-            ok = DiskCache::validateBlobFile(path, &hash_seed, &why);
-            seed = hash_seed;
-        } else {
+        if (p.extension() != ".entry")
             continue; // ledger and friends; not cache records.
-        }
-        if (ok && p.stem().string() != DiskCache::hashedStem(seed)) {
+
+        std::string why, key;
+        bool ok = DiskCache::validateEntryFile(path, &key, &why);
+        if (ok && p.stem().string() != DiskCache::hashedStem(key)) {
             ok = false;
             why = "filename does not match key hash";
         }
         if (ok) {
-            (p.extension() == ".entry" ? report.entriesOk
-                                       : report.blobsOk)++;
+            report.entriesOk++;
             continue;
         }
         if (repair) {

@@ -7,16 +7,17 @@
  * neither can tear — but power loss, full disks, kill -9 mid-store,
  * or foreign writers can still leave damage behind: orphan temp
  * files that never got renamed, torn entries from fsync-less
- * crashes, blobs from older schema versions, files whose name no
- * longer matches the FNV-1a hash of the key inside them, and a
+ * crashes, entries from older schema versions, files whose name no
+ * longer matches the FNV-1a hash of the key inside them, obsolete
+ * `.blob` files that older builds wrote beside the entries, and a
  * ledger whose final line was cut mid-append.
  *
  * fsckCacheDir() scans one cache directory, classifies every file,
  * and (in repair mode) moves damaged files into `<dir>/quarantine/`
- * and sweeps orphan temp files; fsckLedger() validates a ledger
- * line-by-line and (in repair mode) truncates a torn final line and
- * rewrites the file dropping interior malformed lines. Both are
- * read-only when `repair` is false.
+ * and sweeps orphan temp files and obsolete blobs; fsckLedger()
+ * validates a ledger line-by-line and (in repair mode) truncates a
+ * torn final line and rewrites the file dropping interior malformed
+ * lines. Both are read-only when `repair` is false.
  *
  * The readers already treat damaged files as misses, so fsck is
  * about visibility and reclamation, not correctness: a dirty cache
@@ -46,7 +47,6 @@ struct FsckFinding
 struct FsckReport
 {
     uint64_t entriesOk = 0;    ///< healthy .entry files.
-    uint64_t blobsOk = 0;      ///< healthy .blob files.
     uint64_t ledgerOk = 0;     ///< well-formed ledger lines.
     std::vector<FsckFinding> findings;
 
@@ -58,10 +58,10 @@ struct FsckReport
 /**
  * Scan every .entry/.blob/temp file directly inside `dir`
  * (non-recursive; the quarantine subdirectory is skipped). With
- * `repair`, damaged files move to `dir`/quarantine/ (keeping their
- * names, a numeric suffix on collision) and orphan temp files are
- * deleted; without it, findings are only reported and count as
- * unrepaired.
+ * `repair`, damaged entries move to `dir`/quarantine/ (keeping their
+ * names, a numeric suffix on collision) and orphan temp files and
+ * obsolete .blob files are deleted; without it, findings are only
+ * reported and count as unrepaired.
  */
 FsckReport fsckCacheDir(const std::string &dir, bool repair);
 

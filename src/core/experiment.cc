@@ -6,7 +6,6 @@
 #include "arch/models.hh"
 #include "core/experiment_cache.hh"
 #include "ir/verifier.hh"
-#include "isa/encoder.hh"
 #include "obs/stats_registry.hh"
 #include "sched/cluster_assign.hh"
 #include "sim/bytecode.hh"
@@ -268,28 +267,8 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
     });
 
     Composer composer(machine, variant.mode);
-    res.comp = obs::timedPhase(phase, "compose", [&] {
-        if (!cache)
-            return composer.compose(fn, avg);
-        // Schedule-module layer: a hit hands the composer the encoded
-        // module so matching groups rehydrate their schedules instead
-        // of rescheduling; a miss captures the freshly encoded module
-        // and publishes it (memory + disk blob) for future cells.
-        std::string sched_key =
-            ExperimentCache::scheduleKey(req, cfg);
-        if (auto module = cache->findScheduleModule(sched_key))
-            return composer.compose(fn, avg, module.get());
-        IsaModule emitted;
-        CompositionResult comp =
-            composer.compose(fn, avg, nullptr, &emitted);
-        // A degraded composition reflects this run's scheduling
-        // budget, not the cell's true cost; publishing it would
-        // poison unbudgeted runs (the content key excludes the
-        // budget). Keep it out of the module cache.
-        if (comp.degradedRegions == 0)
-            cache->storeScheduleModule(sched_key, std::move(emitted));
-        return comp;
-    });
+    res.comp = obs::timedPhase(phase, "compose",
+                               [&] { return composer.compose(fn, avg); });
     res.cyclesPerUnit = res.comp.cyclesPerUnit;
 
     int gang = variant.gangAllClusters ? machine.clusters()

@@ -1,13 +1,10 @@
 #include "core/experiment_cache.hh"
 
-#include <atomic>
 #include <chrono>
 #include <sstream>
 
 #include "arch/config_json.hh"
 #include "core/disk_cache.hh"
-#include "isa/disassembler.hh"
-#include "isa/encoder.hh"
 #include "obs/stats_registry.hh"
 #include "sim/bytecode.hh"
 #include "support/logging.hh"
@@ -39,20 +36,6 @@ ExperimentCache::resultKey(const ExperimentRequest &req,
     os << loweringKey(req, cfg) << '|' << req.geometry.width << 'x'
        << req.geometry.height << '|' << req.profileUnits << '|'
        << req.seed << '|' << req.check;
-    return os.str();
-}
-
-std::string
-ExperimentCache::scheduleKey(const ExperimentRequest &req,
-                             const DatapathConfig &cfg)
-{
-    // Like resultKey but without the check flag: golden verification
-    // never changes which groups form or how they schedule, so
-    // checked and unchecked runs of a cell share one encoded module.
-    std::ostringstream os;
-    os << loweringKey(req, cfg) << '|' << req.geometry.width << 'x'
-       << req.geometry.height << '|' << req.profileUnits << '|'
-       << req.seed;
     return os.str();
 }
 
@@ -223,103 +206,11 @@ ExperimentCache::programCached(uint64_t fingerprint,
         .first->second;
 }
 
-std::shared_ptr<const IsaModule>
-ExperimentCache::findScheduleModule(const std::string &key)
-{
-    DiskCache *disk;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = modules_.find(key);
-        if (it != modules_.end()) {
-            ++stats_.moduleHits;
-            return it->second;
-        }
-        disk = disk_;
-        if (!disk) {
-            ++stats_.moduleMisses;
-            return nullptr;
-        }
-    }
-    // Disk I/O and decode outside the lock, same discipline as
-    // findResult: duplicate reads of the same blob are harmless.
-    // A discarded blob — container version skew, hash collision, or
-    // an ISA decode failure (e.g. written by a build with different
-    // opcode numbering) — is as good as absent, but never silently:
-    // warn once per process and count every discard, so a cache
-    // full of stale blobs shows up in --stats and ledger manifests
-    // instead of masquerading as a cold cache.
-    static std::atomic<bool> warned{false};
-    auto discard = [&](const char *why) {
-        obs::globalScope("isa").bump("blob_quarantined");
-        if (!warned.exchange(true)) {
-            warn("isa-module blob discarded (%s); treating as a "
-                 "cache miss. Run `vvsp fsck` to quarantine damaged "
-                 "blobs. (warning once; see isa/blob_quarantined "
-                 "counter)",
-                 why);
-        }
-    };
-    std::vector<uint8_t> bytes;
-    switch (disk->loadBlob("isa-module", key, bytes)) {
-      case DiskLoadOutcome::Hit: {
-        IsaModule module;
-        std::string error;
-        if (decodeModule(bytes, module, &error)) {
-            auto shared = std::make_shared<const IsaModule>(
-                std::move(module));
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.moduleHits;
-            return modules_.try_emplace(key, std::move(shared))
-                .first->second;
-        }
-        discard(error.empty() ? "ISA decode failure" : error.c_str());
-        break;
-      }
-      case DiskLoadOutcome::Corrupt:
-        discard("version skew or corrupt container");
-        break;
-      case DiskLoadOutcome::Collision:
-        discard("key hash collision");
-        break;
-      case DiskLoadOutcome::Miss:
-        break;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.moduleMisses;
-    return nullptr;
-}
-
-std::shared_ptr<const IsaModule>
-ExperimentCache::storeScheduleModule(const std::string &key,
-                                     IsaModule module)
-{
-    auto shared = std::make_shared<const IsaModule>(std::move(module));
-    DiskCache *disk = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto [it, inserted] = modules_.try_emplace(key, shared);
-        if (!inserted)
-            return it->second;
-        disk = disk_;
-    }
-    // First writer publishes the binary image outside the lock.
-    if (disk)
-        disk->storeBlob("isa-module", key, encodeModule(*shared));
-    return shared;
-}
-
 void
 ExperimentCache::setDiskCache(DiskCache *disk)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     disk_ = disk;
-}
-
-DiskCache *
-ExperimentCache::diskCache() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return disk_;
 }
 
 ExperimentCacheStats
@@ -337,7 +228,6 @@ ExperimentCache::clear()
     results_.clear();
     profiles_.clear();
     programs_.clear();
-    modules_.clear();
     stats_ = ExperimentCacheStats{};
 }
 

@@ -11,7 +11,7 @@
  * units, seed, and the check flag - so identical work is recognized
  * no matter which named model or harness asked for it.
  *
- * Six levels:
+ * Five levels:
  *  1. lowered-function cache: the machine-dependent lowering of a
  *     (kernel, variant, machine) triple, reused across geometries
  *     and profile depths; hits hand out a deep clone because the
@@ -24,18 +24,12 @@
  *     and run parameters but NOT by machine - different machines
  *     whose lowerings coincide replay the stored profile instead of
  *     re-interpreting;
- *  4. schedule-module cache: the encoded IsaModule of a cell's
- *     composed schedule, keyed by scheduleKey. Hits let the composer
- *     rehydrate group schedules (guarded per section by op count and
- *     semantic hash) instead of rescheduling; memory misses consult
- *     the disk blob layer, decoding the stored binary image;
- *  5. result cache: the complete ExperimentResult of a cell
+ *  4. result cache: the complete ExperimentResult of a cell
  *     (interpreter profile folded into the composed schedule), with
  *     only the display model name patched per request;
- *  6. optional persistent layer (see disk_cache.hh): result-cache
+ *  5. optional persistent layer (see disk_cache.hh): result-cache
  *     misses consult the disk before recomputing, and first writers
- *     publish their result (and encoded module blob) for future
- *     processes.
+ *     publish their result for future processes.
  *
  * All methods are thread-safe; the sweep runner's workers share one
  * instance.
@@ -57,7 +51,6 @@ namespace vvsp
 
 class BytecodeProgram;
 class DiskCache;
-struct IsaModule;
 
 /** Hit/miss counters (one snapshot; totals since construction). */
 struct ExperimentCacheStats
@@ -78,7 +71,11 @@ struct ExperimentCacheStats
     /** Compiled bytecode-program cache. */
     uint64_t programHits = 0;
     uint64_t programMisses = 0;
-    /** Encoded schedule-module cache (memory + disk blob layers). */
+    /**
+     * Always 0: there is no schedule-module level any more. Kept
+     * only because the repository benchmark (perfbench/) still
+     * reports them as cache.module_{hits,misses}.
+     */
     uint64_t moduleHits = 0;
     uint64_t moduleMisses = 0;
 };
@@ -128,17 +125,6 @@ class ExperimentCache
                                   uint64_t fn_fingerprint);
 
     /**
-     * Content key of a cell's composed schedule module. Includes the
-     * lowering key plus every input that shapes group boundaries and
-     * schedules (geometry, profiled units, seed - the profile's
-     * execution counts decide where the composer flushes groups) but
-     * deliberately EXCLUDES the check flag, which only gates golden
-     * verification and never changes the emitted code.
-     */
-    static std::string scheduleKey(const ExperimentRequest &req,
-                                   const DatapathConfig &cfg);
-
-    /**
      * Return a deep clone of the cached lowered function, or lower
      * now (via lowerVariant) and cache the prototype.
      */
@@ -179,31 +165,12 @@ class ExperimentCache
     programCached(uint64_t fingerprint, const Function &fn);
 
     /**
-     * Look up the encoded schedule module of a cell. Memory misses
-     * consult the disk blob layer (kind "isa-module") when attached;
-     * corrupt or colliding blobs classify as misses. The returned
-     * module is immutable and shared across threads.
-     */
-    std::shared_ptr<const IsaModule>
-    findScheduleModule(const std::string &key);
-
-    /**
-     * Record a cell's encoded schedule module (first writer wins).
-     * The first writer also publishes the binary image to the disk
-     * blob layer when attached. Returns the cached instance.
-     */
-    std::shared_ptr<const IsaModule>
-    storeScheduleModule(const std::string &key, IsaModule module);
-
-    /**
      * Attach (or, with nullptr, detach) the persistent layer. The
      * caller keeps ownership and must outlive the attachment. Not
      * meant to be raced against lookups: attach before submitting
      * work.
      */
     void setDiskCache(DiskCache *disk);
-
-    DiskCache *diskCache() const;
 
     ExperimentCacheStats stats() const;
 
@@ -221,8 +188,6 @@ class ExperimentCache
     std::unordered_map<uint64_t,
                        std::shared_ptr<const BytecodeProgram>>
         programs_;
-    std::unordered_map<std::string, std::shared_ptr<const IsaModule>>
-        modules_;
     ExperimentCacheStats stats_;
     DiskCache *disk_ = nullptr;
 };

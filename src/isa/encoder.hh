@@ -64,7 +64,11 @@ struct IsaSection
     int stages = 0;  ///< modulo: overlapped stages (else 0).
     int maxLive = 0; ///< peak per-cluster register pressure.
 
-    /** Semantic hash of `ops` (isaOpsHash), the rehydration guard. */
+    /**
+     * Semantic hash of `ops` (isaOpsHash): the binary decoder and
+     * the assembler recompute it to reject damaged or hand-edited
+     * sections.
+     */
     uint64_t opsHash = 0;
 
     /** Operations in program order, immediates canonicalized. */
@@ -98,8 +102,9 @@ struct SectionStats
 /**
  * FNV-1a 64 over the canonical semantic fields of every op (opcode,
  * dst, sources, predicate, buffer, cluster, transfer target). Ids
- * and alias metadata are excluded, so the hash of freshly lowered
- * ops matches the hash stored when the section was first encoded.
+ * and alias metadata are excluded, so ops recovered by decoding or
+ * assembling a section hash to the value stored when it was first
+ * encoded; decodeModule and the assembler check exactly that.
  */
 uint64_t isaOpsHash(const std::vector<Operation> &ops);
 

@@ -5,8 +5,9 @@
  * the surviving cache must yield either a clean miss or a
  * byte-identical warm hit — never a crash, never a wrong result.
  * Also covers `vvsp fsck` (library and CLI): quarantine of torn and
- * corrupt files, orphan-temp sweeps, torn-ledger repair, and the
- * degraded-schedule path end to end through the driver.
+ * corrupt files, orphan-temp and obsolete-blob sweeps, torn-ledger
+ * repair, and the degraded-schedule path end to end through the
+ * `vvsp` CLI.
  */
 
 #include <gtest/gtest.h>
@@ -231,10 +232,9 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
     DiskCache disk(dir.path);
     ExperimentResult in = sampleResult();
     ASSERT_TRUE(disk.store("good-key", in));
-    ASSERT_TRUE(disk.storeBlob("module", "good-blob",
-                               {1, 2, 3, 4, 5}));
+    ASSERT_TRUE(disk.store("good-key-2", in));
 
-    // Damage: a torn entry, a bit-flipped blob, a wrong-stem entry
+    // Damage: a torn entry, a bit-flipped entry, a wrong-stem entry
     // (hash collision evidence), and an orphan temp file.
     {
         failpoint::Spec spec;
@@ -243,9 +243,9 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
         EXPECT_FALSE(disk.store("torn-key", in));
         failpoint::clearAll();
     }
-    ASSERT_TRUE(disk.storeBlob("module", "flipped", {9, 9, 9, 9}));
+    ASSERT_TRUE(disk.store("flipped", in));
     {
-        std::string path = disk.blobPath("module", "flipped");
+        std::string path = disk.entryPath("flipped");
         std::string body = readFile(path);
         ASSERT_GT(body.size(), 4u);
         body[body.size() - 2] ^= 0x40;
@@ -263,17 +263,14 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
     }
 
     FsckReport report = fsckCacheDir(dir.path, /*repair=*/true);
-    EXPECT_EQ(report.entriesOk, 1u);
-    EXPECT_EQ(report.blobsOk, 1u);
+    EXPECT_EQ(report.entriesOk, 2u);
     EXPECT_EQ(report.findings.size(), 4u);
     EXPECT_EQ(report.unrepaired, 0u);
 
     // The survivors still load; the damage is in quarantine/.
     ExperimentResult out;
     EXPECT_TRUE(disk.load("good-key", out));
-    std::vector<uint8_t> blob;
-    EXPECT_EQ(disk.loadBlob("module", "good-blob", blob),
-              DiskLoadOutcome::Hit);
+    EXPECT_TRUE(disk.load("good-key-2", out));
     size_t quarantined = 0;
     for (const auto &e :
          fs::directory_iterator(fs::path(dir.path) / "quarantine")) {
@@ -284,6 +281,45 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
 
     FsckReport second = fsckCacheDir(dir.path, /*repair=*/true);
     EXPECT_TRUE(second.findings.empty());
+}
+
+TEST_F(Fsck, ObsoleteBlobsAreReportedThenRemoved)
+{
+    // Older builds cached encoded schedules as `.blob` files beside
+    // the entries. Nothing reads them now: check-only mode reports
+    // each one and leaves it, repair deletes it like an orphan temp.
+    TempDir dir;
+    DiskCache disk(dir.path);
+    ASSERT_TRUE(disk.store("good-key", sampleResult()));
+    fs::path blob = fs::path(dir.path) / "00c0ffee00c0ffee.blob";
+    {
+        std::ofstream os(blob, std::ios::binary);
+        os << "vvsp-blob 1 module\n3:key\n4\n"
+           << "\x01\x02\x03\x04\nend\n";
+    }
+
+    FsckReport check = fsckCacheDir(dir.path, /*repair=*/false);
+    EXPECT_EQ(check.entriesOk, 1u);
+    ASSERT_EQ(check.findings.size(), 1u);
+    EXPECT_EQ(check.findings[0].path, blob.string());
+    EXPECT_EQ(check.findings[0].what, "obsolete isa-module blob");
+    EXPECT_EQ(check.findings[0].action, "none");
+    EXPECT_EQ(check.unrepaired, 1u);
+    EXPECT_TRUE(fs::exists(blob));
+
+    FsckReport repair = fsckCacheDir(dir.path, /*repair=*/true);
+    EXPECT_EQ(repair.entriesOk, 1u);
+    ASSERT_EQ(repair.findings.size(), 1u);
+    EXPECT_EQ(repair.findings[0].what, "obsolete isa-module blob");
+    EXPECT_EQ(repair.findings[0].action, "removed");
+    EXPECT_EQ(repair.unrepaired, 0u);
+    EXPECT_FALSE(fs::exists(blob));
+    EXPECT_FALSE(fs::exists(fs::path(dir.path) / "quarantine"));
+
+    ExperimentResult out;
+    EXPECT_TRUE(disk.load("good-key", out));
+    EXPECT_TRUE(fsckCacheDir(dir.path, /*repair=*/true)
+                    .findings.empty());
 }
 
 TEST_F(Fsck, CheckOnlyModeLeavesDamageInPlace)
@@ -471,6 +507,54 @@ TEST_F(Fsck, CliExitCodesFollowTheConvention)
     EXPECT_EQ(runCommand("\"" + vvsp +
                          "\" fsck stray-arg > /dev/null 2>&1"),
               2);
+}
+
+TEST_F(Fsck, CliReportsObsoleteBlobsThenRemovesThem)
+{
+    // `vvsp fsck` over a directory an older build left a `.blob` in:
+    // check-only mode names the blob and exits 1, repair mode removes
+    // it and exits 0, and a further run is clean. The report has no
+    // blob tally any more.
+    const std::string vvsp = VVSP_CLI_PATH;
+    TempDir dir;
+    DiskCache disk(dir.path);
+    ASSERT_TRUE(disk.store("good-key", sampleResult()));
+    const fs::path blob = fs::path(dir.path) / "00c0ffee00c0ffee.blob";
+    {
+        std::ofstream os(blob, std::ios::binary);
+        os << "vvsp-blob 1 module\n";
+    }
+    const std::string out = dir.path + ".fsck.txt";
+    const std::string fsck = "\"" + vvsp + "\" fsck --cache-dir=\"" +
+                             dir.path + "\" --ledger=\"" + dir.path +
+                             "/no-ledger.jsonl\"";
+
+    EXPECT_EQ(runCommand(fsck + " --no-quarantine > \"" + out +
+                         "\" 2>&1"),
+              1);
+    std::string report = readFile(out);
+    EXPECT_NE(report.find("entries ok: 1"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find(blob.string() +
+                          ": obsolete isa-module blob [none]"),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("blobs ok"), std::string::npos) << report;
+    EXPECT_TRUE(fs::exists(blob));
+
+    EXPECT_EQ(runCommand(fsck + " > \"" + out + "\" 2>&1"), 0);
+    report = readFile(out);
+    EXPECT_NE(report.find(blob.string() +
+                          ": obsolete isa-module blob [removed]"),
+              std::string::npos)
+        << report;
+    EXPECT_FALSE(fs::exists(blob));
+
+    EXPECT_EQ(runCommand(fsck + " > \"" + out + "\" 2>&1"), 0);
+    EXPECT_NE(readFile(out).find("clean"), std::string::npos);
+    ExperimentResult res;
+    EXPECT_TRUE(disk.load("good-key", res));
+    std::remove(out.c_str());
 }
 
 #endif // VVSP_CLI_PATH

@@ -3,8 +3,8 @@
  * Persistent experiment cache: round trips, robustness against
  * corrupt/truncated/mismatched entries (all must degrade to misses,
  * never crashes or wrong results), atomicity under concurrent
- * writers, equality of disk-cached and cold evaluations, and the
- * decoded-trace sort-once counter.
+ * writer threads and processes, equality of disk-cached and cold
+ * evaluations, and the decoded-trace sort-once counter.
  */
 
 #include <gtest/gtest.h>
@@ -276,30 +276,25 @@ TEST(DiskCache, ConcurrentWritersStayAtomic)
     }
 }
 
-TEST(DiskCache, MultiProcessBlobWritersNeverTear)
+TEST(DiskCache, MultiProcessEntryWritersNeverTear)
 {
-    // The blob namespace (encoded ISA modules) under real multi-
-    // process contention, the scenario the table benches hit when
-    // several vvsp invocations share one cache directory: forked
-    // writers hammer a single (kind, key) while the parent reads.
-    // Atomic rename publication means every read is Miss or one
-    // writer's complete payload - never a blend of two.
+    // Entries under real multi-process contention, the scenario the
+    // table benches hit when several vvsp invocations share one
+    // cache directory: forked writers hammer a single key while the
+    // parent reads. Atomic rename publication means every read is a
+    // Miss or one writer's complete entry - never a blend of two.
     TempDir dir;
 
     constexpr int kWriters = 8;
     constexpr int kRounds = 25;
-    constexpr size_t kPayload = 4096;
     std::vector<pid_t> children;
     for (int w = 0; w < kWriters; ++w) {
         pid_t pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             DiskCache disk(dir.path);
-            std::vector<uint8_t> payload(kPayload,
-                                         static_cast<uint8_t>(w + 1));
             for (int i = 0; i < kRounds; ++i) {
-                if (!disk.storeBlob("isa-module", "shared-key",
-                                    payload))
+                if (!disk.store("shared-key", sampleResult(w + 1)))
                     _exit(1);
             }
             _exit(0);
@@ -308,21 +303,21 @@ TEST(DiskCache, MultiProcessBlobWritersNeverTear)
     }
 
     DiskCache disk(dir.path);
-    auto checkPayload = [&](const std::vector<uint8_t> &out) {
-        // A complete blob from exactly one writer: uniform fill.
-        ASSERT_EQ(out.size(), kPayload);
-        EXPECT_GE(out[0], 1);
-        EXPECT_LE(out[0], kWriters);
-        for (uint8_t b : out)
-            ASSERT_EQ(b, out[0]) << "torn blob";
+    auto checkEntry = [&](const ExperimentResult &out) {
+        // A complete entry from exactly one writer; recover its id
+        // exactly (123.456 + w - 123.456 is not w in doubles).
+        double salt = std::round(out.cyclesPerUnit - 123.456);
+        EXPECT_GE(salt, 1);
+        EXPECT_LE(salt, kWriters);
+        expectEqual(sampleResult(salt), out);
     };
     // Read concurrently while the children are still writing.
     for (int i = 0; i < 200; ++i) {
-        std::vector<uint8_t> out;
+        ExperimentResult out;
         DiskLoadOutcome outcome =
-            disk.loadBlob("isa-module", "shared-key", out);
+            disk.loadClassified("shared-key", out);
         if (outcome == DiskLoadOutcome::Hit)
-            checkPayload(out);
+            checkEntry(out);
         else
             EXPECT_EQ(outcome, DiskLoadOutcome::Miss);
     }
@@ -333,15 +328,16 @@ TEST(DiskCache, MultiProcessBlobWritersNeverTear)
         EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     }
 
-    std::vector<uint8_t> out;
-    ASSERT_EQ(disk.loadBlob("isa-module", "shared-key", out),
+    ExperimentResult out;
+    ASSERT_EQ(disk.loadClassified("shared-key", out),
               DiskLoadOutcome::Hit);
-    checkPayload(out);
+    checkEntry(out);
 
     // No leaked temp files once every writer has renamed or cleaned.
     for (const auto &e :
          std::filesystem::directory_iterator(dir.path)) {
-        EXPECT_EQ(e.path().extension(), ".blob") << e.path().string();
+        EXPECT_EQ(e.path().extension(), ".entry")
+            << e.path().string();
     }
 }
 
@@ -403,6 +399,12 @@ TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
         for (const ExperimentRequest &req : grid)
             runExperiment(req, &fill);
     }
+    // A cold fill publishes result entries and nothing else.
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir.path)) {
+        EXPECT_EQ(e.path().extension(), ".entry")
+            << e.path().string();
+    }
 
     ExperimentCache warm;
     warm.setDiskCache(&disk);
@@ -412,6 +414,68 @@ TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
     }
     EXPECT_EQ(warm.stats().diskHits, grid.size());
     EXPECT_EQ(warm.stats().resultMisses, 0u);
+}
+
+TEST(DiskCache, LeftoverBlobFilesAreNeverReadOrRewritten)
+{
+    // Directories written by older builds hold `.blob` files (encoded
+    // schedule modules) beside the entries. Nothing reads them any
+    // more: a warm run over such a directory hits every entry, never
+    // counts a schedule-module lookup, and leaves the blobs as they
+    // were for `vvsp fsck` to sweep.
+    const KernelSpec &k = kernelByName("Three-step Search");
+    ExperimentRequest req;
+    req.kernel = &k;
+    req.variant = &k.variants[0];
+    req.model = models::byName("I4C8S4");
+    req.profileUnits = 1;
+
+    TempDir dir;
+    DiskCache disk(dir.path);
+    ExperimentResult cold;
+    {
+        ExperimentCache fill;
+        fill.setDiskCache(&disk);
+        cold = runExperiment(req, &fill);
+        EXPECT_EQ(fill.stats().diskStores, 1u);
+        EXPECT_EQ(fill.stats().moduleHits, 0u);
+        EXPECT_EQ(fill.stats().moduleMisses, 0u);
+    }
+
+    // Plant a stale blob under each entry's stem and one elsewhere.
+    const std::string garbage = "vvsp-blob 1 isa-module\n\x01\x02";
+    std::vector<std::string> blobs;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir.path)) {
+        ASSERT_EQ(e.path().extension(), ".entry");
+        std::filesystem::path blob = e.path();
+        blobs.push_back(blob.replace_extension(".blob").string());
+    }
+    ASSERT_EQ(blobs.size(), 1u);
+    blobs.push_back(
+        (std::filesystem::path(dir.path) / "00c0ffee00c0ffee.blob")
+            .string());
+    for (const std::string &b : blobs)
+        writeFile(b, garbage);
+
+    ExperimentCache warm;
+    warm.setDiskCache(&disk);
+    expectEqual(cold, runExperiment(req, &warm));
+    EXPECT_EQ(warm.stats().diskHits, 1u);
+    EXPECT_EQ(warm.stats().moduleHits, 0u);
+    EXPECT_EQ(warm.stats().moduleMisses, 0u);
+
+    // A new store publishes only its entry; the blobs are untouched.
+    ASSERT_TRUE(disk.store("another-cell", sampleResult()));
+    size_t entries = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir.path)) {
+        if (e.path().extension() == ".entry")
+            ++entries;
+    }
+    EXPECT_EQ(entries, 2u);
+    for (const std::string &b : blobs)
+        EXPECT_EQ(readFile(b), garbage) << b;
 }
 
 TEST(DecodedTrace, AcyclicGroupsSortOncePerGroup)
