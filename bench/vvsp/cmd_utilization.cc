@@ -61,9 +61,11 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     Observability sinks(opts);
     sinks.setMachines(model_set);
     DiskCacheAttachment disk(opts);
-    if (opts.stats)
-        obs::setGlobalStats(&sinks.stats());
     SweepOptions sopts = sweepOptions(opts, sinks);
+    // The cycle simulator records its scheduling phases and counters
+    // through the global registry.
+    if (sopts.stats)
+        obs::setGlobalStats(sopts.stats);
     // The per-kernel lowering and cycle simulation run outside any
     // sweep; time them as phases so --profile accounts for them.
     obs::StatsScope phase(sopts.stats, "phase");
@@ -238,7 +240,7 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     } else {
         std::printf("check: %s\n", band_ok ? "PASS" : "FAIL");
     }
-    if (opts.stats)
+    if (sopts.stats)
         obs::setGlobalStats(nullptr);
     return band_ok ? 0 : 1;
 }

@@ -200,19 +200,23 @@ Observability::~Observability()
     if (opts_.profile) {
         // Per-phase wall-time breakdown from the "phase/<name>"
         // scopes timedPhase records (see obs/stats_registry.hh).
-        // Phases nest - list_sched/modulo_sched run inside compose -
-        // so nested phases print indented under their parent with a
-        // share of the *parent's* time; top-level shares are of the
-        // pipeline total and sum to ~100%.
+        // Phases nest - the composer's list_sched/modulo_sched run
+        // inside compose, and the cycle simulator's inside cycle_sim
+        // (recorded as "cycle_sim/list_sched" etc.) - so nested
+        // phases print indented under their parent with a share of
+        // the *parent's* time; top-level shares are of the pipeline
+        // total and sum to ~100%.
         struct Row
         {
             std::string name;
             IntStat wall;
         };
-        auto parent_of = [](const std::string &name) -> const char * {
+        auto parent_of = [](const std::string &name) -> std::string {
             if (name == "list_sched" || name == "modulo_sched")
                 return "compose";
-            return nullptr;
+            size_t slash = name.find('/');
+            return slash == std::string::npos ? std::string()
+                                              : name.substr(0, slash);
         };
         std::vector<Row> rows;
         uint64_t pipeline_us = 0;
@@ -228,7 +232,7 @@ Observability::~Observability()
             }
             std::string name = path.substr(
                 6, path.size() - 6 - suffix.size());
-            if (parent_of(name) == nullptr)
+            if (parent_of(name).empty())
                 pipeline_us += d.second.sum();
             rows.push_back(Row{std::move(name), d.second});
         }
@@ -254,14 +258,15 @@ Observability::~Observability()
             std::printf("%-16s %8s %12s %10s %7s\n", "phase", "runs",
                         "total_ms", "avg_us", "share");
             for (const Row &r : rows) {
-                if (parent_of(r.name) != nullptr)
+                if (!parent_of(r.name).empty())
                     continue; // printed under its parent below.
                 print_row(r.name, r.wall, pipeline_us, "");
                 for (const Row &c : rows) {
-                    const char *p = parent_of(c.name);
-                    if (p == nullptr || r.name != p)
+                    if (parent_of(c.name) != r.name)
                         continue;
-                    print_row("  " + c.name, c.wall, r.wall.sum(),
+                    // npos + 1 == 0: unprefixed names stay whole.
+                    std::string leaf = c.name.substr(c.name.find('/') + 1);
+                    print_row("  " + leaf, c.wall, r.wall.sum(),
                               " of parent");
                 }
             }

@@ -24,6 +24,36 @@ namespace
 std::atomic<ThreadPool *> g_iiPool{nullptr};
 std::atomic<int> g_iiWidth{1};
 
+/**
+ * x mod d for 0 <= x < 2^32 by two multiplications instead of a
+ * division (Lemire, Kaser and Kurz, "Faster remainder by direct
+ * computation", 2019): exact for every 32-bit x and d >= 1.
+ */
+class FastMod
+{
+  public:
+    explicit FastMod(uint32_t d) : m_(~uint64_t{0} / d + 1), d_(d) {}
+
+    int
+    operator()(int x) const
+    {
+        uint64_t low = m_ * static_cast<uint32_t>(x);
+        return static_cast<int>(
+            (static_cast<unsigned __int128>(low) * d_) >> 64);
+    }
+
+  private:
+    uint64_t m_;
+    uint64_t d_;
+};
+
+/**
+ * Start cycle of an unplaced op inside attempt(): negative enough
+ * that start + latency - ii * distance stays below 0 for any edge,
+ * so the estart maximum needs no "is it placed" test.
+ */
+constexpr int32_t kUnplaced = std::numeric_limits<int32_t>::min() / 2;
+
 } // anonymous namespace
 
 void
@@ -143,40 +173,126 @@ ModuloScheduler::resourceMii(const std::vector<Operation> &ops) const
     return mii;
 }
 
+void
+ModuloScheduler::prepare(const std::vector<Operation> &ops) const
+{
+    const int n = static_cast<int>(ops.size());
+    vvsp_assert(n > 0, "modulo scheduling an empty block");
+    for (const auto &op : ops) {
+        vvsp_assert(machine_.canExecute(op),
+                    "%s cannot execute '%s' (recipe must lower it)",
+                    machine_.name().c_str(), op.str().c_str());
+    }
+    ddg_.build(ops, machine_.latencyFn(), /*loop_carried=*/true);
+    const DependenceGraph &ddg = ddg_;
+
+    AttemptInput &in = input_;
+    in.opOf.resize(static_cast<size_t>(n));
+    std::iota(in.opOf.begin(), in.opOf.end(), 0);
+    std::stable_sort(in.opOf.begin(), in.opOf.end(),
+                     [&ddg](int a, int b) {
+                         return ddg.height(a) > ddg.height(b);
+                     });
+    ArenaVec<int32_t> rank_a;
+    std::vector<int32_t> &rank_of = *rank_a;
+    rank_of.resize(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r)
+        rank_of[static_cast<size_t>(in.opOf[static_cast<size_t>(r)])] =
+            r;
+
+    // A self-edge never bounds its own op's estart (the op is
+    // unplaced while it is being placed) and never evicts it, so the
+    // arcs leave self-edges out; attempt() checks them once.
+    in.keys.resize(static_cast<size_t>(n));
+    in.preds.clear();
+    in.succs.clear();
+    in.selfEdges.clear();
+    in.predOff.assign(1, 0);
+    in.succOff.assign(1, 0);
+    for (int r = 0; r < n; ++r) {
+        const int i = in.opOf[static_cast<size_t>(r)];
+        in.keys[static_cast<size_t>(r)] =
+            table_.keyOf(ops[static_cast<size_t>(i)]);
+        for (int e : ddg.predEdges(i)) {
+            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
+            if (edge.from == i) {
+                in.selfEdges.emplace_back(edge.latency, edge.distance);
+                continue;
+            }
+            in.preds.push_back(
+                {rank_of[static_cast<size_t>(edge.from)], edge.latency,
+                 edge.distance});
+        }
+        for (int e : ddg.succEdges(i)) {
+            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
+            if (edge.to != i) {
+                in.succs.push_back(
+                    {rank_of[static_cast<size_t>(edge.to)],
+                     edge.latency, edge.distance});
+            }
+        }
+        in.predOff.push_back(static_cast<int32_t>(in.preds.size()));
+        in.succOff.push_back(static_cast<int32_t>(in.succs.size()));
+    }
+}
+
 ModuloScheduler::AttemptOutcome
-ModuloScheduler::attempt(const std::vector<Operation> &ops,
-                         const DependenceGraph &ddg, int ii,
-                         const std::vector<int> &by_priority,
+ModuloScheduler::attemptAt(const std::vector<Operation> &ops, int ii,
+                           std::vector<int> *start) const
+{
+    prepare(ops);
+    return attempt(input_, ii, table_, start);
+}
+
+ModuloScheduler::AttemptOutcome
+ModuloScheduler::attempt(const AttemptInput &in, int ii,
                          ReservationTable &table,
                          std::vector<int> *start) const
 {
     using Kind = AttemptOutcome::Kind;
+    using Arc = AttemptInput::Arc;
     AttemptOutcome outcome;
-    const int n = static_cast<int>(ops.size());
+    const int n = static_cast<int>(in.opOf.size());
     start->assign(static_cast<size_t>(n), -1);
+
+    // Self-edges (loop-carried) must hold: lat <= ii * dist. No
+    // placement can change that, so it is checked once, up front;
+    // any II at or above RecMII passes, so the II search never fails
+    // here.
+    for (const auto &[latency, distance] : in.selfEdges) {
+        if (latency > ii * distance) {
+            outcome.kind = Kind::FailRecurrence;
+            return outcome;
+        }
+    }
+
+    table.reset(ii);
+    const FastMod mod(static_cast<uint32_t>(ii));
+
     // All scratch from the worker's arena: zero heap churn at steady
     // state, and safe under speculative parallel attempts (each
-    // worker thread has its own arena).
-    ArenaVec<int32_t> prev_a, slot_a, rank_a, head_a, nxt_a, prv_a;
-    std::vector<int32_t> &prev = *prev_a;
+    // worker thread has its own arena). Per-rank state: place holds
+    // (start cycle, modulo row) pairs, so the row sits beside the
+    // cycle and eviction and the row lists never divide; prev is the
+    // last cycle a rank was placed at.
+    ArenaVec<int32_t> place_a, slot_a, prev_a, head_a, nxt_a, prv_a;
+    std::vector<int32_t> &place = *place_a;
     std::vector<int32_t> &slot_of = *slot_a;
-    std::vector<int32_t> &rank_of = *rank_a;
-    prev.assign(static_cast<size_t>(n), -1);
+    std::vector<int32_t> &prev = *prev_a;
+    place.assign(2 * static_cast<size_t>(n), kUnplaced);
     slot_of.assign(static_cast<size_t>(n), -1);
-    rank_of.resize(static_cast<size_t>(n));
-    table.reset(ii);
+    prev.assign(static_cast<size_t>(n), -1);
 
-    // Ops placed in each modulo row as intrusive doubly-linked lists:
-    // forced placement evicts a row's occupants by walking its list
-    // instead of scanning all n ops.
+    // Ranks placed in each modulo row as intrusive doubly-linked
+    // lists: forced placement evicts a row's occupants by walking
+    // its list instead of scanning all n ops.
     std::vector<int32_t> &row_head = *head_a;
     std::vector<int32_t> &nxt = *nxt_a;
     std::vector<int32_t> &prv = *prv_a;
     row_head.assign(static_cast<size_t>(ii), -1);
     nxt.assign(static_cast<size_t>(n), -1);
     prv.assign(static_cast<size_t>(n), -1);
-    auto row_link = [&](int i, int cycle) {
-        int r = cycle % ii;
+    auto row_link = [&](int i, int r) {
         int h = row_head[static_cast<size_t>(r)];
         nxt[static_cast<size_t>(i)] = h;
         prv[static_cast<size_t>(i)] = -r - 2; // head marker.
@@ -195,127 +311,134 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
             prv[static_cast<size_t>(x)] = p;
     };
 
-    // Unscheduled ops as a bitset over priority ranks: the first set
-    // bit is the next op to place, so selection is a word scan
-    // instead of an O(n) height sweep per placement.
-    for (int r = 0; r < n; ++r)
-        rank_of[static_cast<size_t>(by_priority[static_cast<size_t>(
-            r)])] = r;
-    ArenaVec<uint64_t> unplaced_a;
-    std::vector<uint64_t> &unplaced = *unplaced_a;
-    unplaced.assign((static_cast<size_t>(n) + 63) / 64, ~uint64_t{0});
+    // Unplaced ranks as a two-level bitset: the lowest set rank is
+    // the next op to place. A summary bit per nonzero rank word
+    // bounds the search to O(n/4096) words.
+    ArenaVec<uint64_t> ranks_a, summary_a;
+    std::vector<uint64_t> &ranks = *ranks_a;
+    std::vector<uint64_t> &summary = *summary_a;
+    const size_t rank_words = (static_cast<size_t>(n) + 63) / 64;
+    ranks.assign(rank_words, ~uint64_t{0});
     if (n % 64)
-        unplaced.back() = (uint64_t{1} << (n % 64)) - 1;
-
-    auto unschedule = [&](int i) {
-        if ((*start)[static_cast<size_t>(i)] < 0)
-            return;
-        table.release(ops[static_cast<size_t>(i)],
-                      (*start)[static_cast<size_t>(i)],
-                      slot_of[static_cast<size_t>(i)]);
-        (*start)[static_cast<size_t>(i)] = -1;
-        row_unlink(i);
-        outcome.evictions++;
-        int r = rank_of[static_cast<size_t>(i)];
-        unplaced[static_cast<size_t>(r) / 64] |= uint64_t{1}
-                                                 << (r % 64);
+        ranks.back() = (uint64_t{1} << (n % 64)) - 1;
+    summary.assign((rank_words + 63) / 64, ~uint64_t{0});
+    if (rank_words % 64)
+        summary.back() = (uint64_t{1} << (rank_words % 64)) - 1;
+    auto mark_unplaced = [&](int r) {
+        size_t w = static_cast<size_t>(r) / 64;
+        ranks[w] |= uint64_t{1} << (r % 64);
+        summary[w / 64] |= uint64_t{1} << (w % 64);
     };
-
-    long budget = 32L * n + 256;
-    while (true) {
-        // Highest-priority unscheduled op: height descending, ties
-        // in program order - i.e. the lowest set rank.
-        int op_idx = -1;
-        for (size_t w = 0; w < unplaced.size(); ++w) {
-            if (unplaced[w]) {
-                int r = static_cast<int>(
+    auto mark_placed = [&](int r) {
+        size_t w = static_cast<size_t>(r) / 64;
+        ranks[w] &= ~(uint64_t{1} << (r % 64));
+        if (ranks[w] == 0)
+            summary[w / 64] &= ~(uint64_t{1} << (w % 64));
+    };
+    auto first_unplaced = [&]() -> int {
+        for (size_t s = 0; s < summary.size(); ++s) {
+            if (summary[s]) {
+                size_t w = s * 64 + static_cast<size_t>(
+                                        std::countr_zero(summary[s]));
+                return static_cast<int>(
                     w * 64 +
-                    static_cast<size_t>(std::countr_zero(unplaced[w])));
-                op_idx = by_priority[static_cast<size_t>(r)];
-                break;
+                    static_cast<size_t>(std::countr_zero(ranks[w])));
             }
         }
-        if (op_idx < 0)
-            return outcome; // all placed.
-        if (budget-- <= 0) {
+        return -1;
+    };
+
+    auto unschedule = [&](int i) {
+        int32_t *p = &place[2 * static_cast<size_t>(i)];
+        if (p[0] < 0)
+            return;
+        table.releaseRow(in.keys[static_cast<size_t>(i)], p[1],
+                         slot_of[static_cast<size_t>(i)]);
+        p[0] = kUnplaced;
+        row_unlink(i);
+        outcome.evictions++;
+        mark_unplaced(i);
+    };
+
+    const uint64_t budget = 32 * static_cast<uint64_t>(n) + 256;
+    while (true) {
+        const int rank = first_unplaced();
+        if (rank < 0)
+            break; // all placed.
+        if (outcome.placements == budget) {
             outcome.kind = Kind::FailBudget;
-            return outcome;
+            break;
         }
+        outcome.placements++;
+        const size_t r = static_cast<size_t>(rank);
 
+        // Unplaced predecessors sit at kUnplaced and never win.
         int estart = 0;
-        for (int e : ddg.predEdges(op_idx)) {
-            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
-            int from = (*start)[static_cast<size_t>(edge.from)];
-            if (from < 0)
-                continue;
+        const Arc *pred_end = in.preds.data() + in.predOff[r + 1];
+        for (const Arc *a = in.preds.data() + in.predOff[r];
+             a != pred_end; ++a) {
             estart = std::max(estart,
-                              from + edge.latency - ii * edge.distance);
+                              place[2 * static_cast<size_t>(a->rank)] +
+                                  a->latency - ii * a->distance);
         }
 
-        const Operation &op = ops[static_cast<size_t>(op_idx)];
+        const ReservationTable::OpKey &key = in.keys[r];
         int slot = -1;
-        int placed_at = table.findFirstFit(op, estart, &slot);
-        if (placed_at < 0) {
+        const int r0 = mod(estart);
+        int row = table.firstFitRow(key, r0, &slot);
+        int placed_at;
+        if (row >= 0) {
+            placed_at = estart + (row >= r0 ? row - r0 : row - r0 + ii);
+        } else {
             // Forced placement: free the modulo row and take it.
             // Eviction releases independent reservations, so the
             // walk order over the row's occupants does not matter.
-            int t = std::max(estart,
-                             prev[static_cast<size_t>(op_idx)] + 1);
-            for (int i = row_head[static_cast<size_t>(t % ii)];
-                 i >= 0;) {
+            placed_at = std::max(estart, prev[r] + 1);
+            row = mod(placed_at);
+            for (int i = row_head[static_cast<size_t>(row)]; i >= 0;) {
                 int next = nxt[static_cast<size_t>(i)];
                 unschedule(i);
                 i = next;
             }
-            bool ok = table.tryReserve(op, t, &slot);
-            vvsp_assert(ok, "forced placement failed at t=%d ii=%d", t,
-                        ii);
-            placed_at = t;
+            bool ok = table.reserveRow(key, row, &slot);
+            vvsp_assert(ok, "forced placement failed at t=%d ii=%d",
+                        placed_at, ii);
         }
-        (*start)[static_cast<size_t>(op_idx)] = placed_at;
-        slot_of[static_cast<size_t>(op_idx)] = slot;
-        prev[static_cast<size_t>(op_idx)] = placed_at;
-        row_link(op_idx, placed_at);
-        {
-            int r = rank_of[static_cast<size_t>(op_idx)];
-            unplaced[static_cast<size_t>(r) / 64] &=
-                ~(uint64_t{1} << (r % 64));
-        }
+        place[2 * r] = placed_at;
+        place[2 * r + 1] = row;
+        slot_of[r] = slot;
+        prev[r] = placed_at;
+        row_link(rank, row);
+        mark_placed(rank);
 
         // Evict successors whose dependence the new placement breaks.
-        for (int e : ddg.succEdges(op_idx)) {
-            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
-            int to = (*start)[static_cast<size_t>(edge.to)];
-            if (edge.to == op_idx || to < 0)
-                continue;
-            if (to < placed_at + edge.latency - ii * edge.distance)
-                unschedule(edge.to);
-        }
-        // Self-edges (loop-carried) must hold: lat <= ii * dist.
-        for (int e : ddg.succEdges(op_idx)) {
-            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
-            if (edge.to == op_idx &&
-                edge.latency > ii * edge.distance) {
-                // The recurrence cannot fit this II.
-                outcome.kind = Kind::FailRecurrence;
-                return outcome;
-            }
+        const Arc *succ_end = in.succs.data() + in.succOff[r + 1];
+        for (const Arc *a = in.succs.data() + in.succOff[r];
+             a != succ_end; ++a) {
+            int to = place[2 * static_cast<size_t>(a->rank)];
+            if (to >= 0 &&
+                to < placed_at + a->latency - ii * a->distance)
+                unschedule(a->rank);
         }
     }
+    for (int i = 0; i < n; ++i) {
+        int t = place[2 * static_cast<size_t>(i)];
+        if (t >= 0)
+            (*start)[static_cast<size_t>(in.opOf[static_cast<size_t>(
+                i)])] = t;
+    }
+    return outcome;
 }
 
 ModuloScheduler::AttemptOutcome
-ModuloScheduler::timedAttempt(const std::vector<Operation> &ops,
-                              const DependenceGraph &ddg, int ii,
-                              const std::vector<int> &by_priority,
+ModuloScheduler::timedAttempt(const AttemptInput &in, int ii,
                               ReservationTable &table,
                               std::vector<int> *start) const
 {
     if (!stats_.enabled())
-        return attempt(ops, ddg, ii, by_priority, table, start);
+        return attempt(in, ii, table, start);
     auto t0 = std::chrono::steady_clock::now();
-    AttemptOutcome outcome =
-        attempt(ops, ddg, ii, by_priority, table, start);
+    AttemptOutcome outcome = attempt(in, ii, table, start);
     outcome.us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -335,6 +458,7 @@ ModuloScheduler::recordAttempt(const AttemptOutcome &outcome) const
                  ? "attempts_fail_budget"
                  : "attempts_fail_recurrence");
     swp.bump("evictions", outcome.evictions);
+    swp.bump("placements", outcome.placements);
     swp.sample("attempt_us", outcome.us);
 }
 
@@ -357,26 +481,11 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                                   int max_live_target,
                                   long ii_budget) const
 {
-    const int n = static_cast<int>(ops.size());
-    vvsp_assert(n > 0, "modulo scheduling an empty block");
-    for (const auto &op : ops) {
-        vvsp_assert(machine_.canExecute(op),
-                    "%s cannot execute '%s' (recipe must lower it)",
-                    machine_.name().c_str(), op.str().c_str());
-    }
-
     stats_.bump("modulo_runs");
-    ddg_.build(ops, machine_.latencyFn(), /*loop_carried=*/true);
-    const DependenceGraph &ddg = ddg_;
-    int mii = std::max(resourceMii(ops), ddg.recurrenceMii());
-
-    // Static scheduling priority, shared by every II attempt.
-    std::vector<int> by_priority(static_cast<size_t>(n));
-    std::iota(by_priority.begin(), by_priority.end(), 0);
-    std::stable_sort(by_priority.begin(), by_priority.end(),
-                     [&ddg](int a, int b) {
-                         return ddg.height(a) > ddg.height(b);
-                     });
+    prepare(ops);
+    const AttemptInput &in = input_;
+    const int n = static_cast<int>(ops.size());
+    int mii = std::max(resourceMii(ops), ddg_.recurrenceMii());
 
     auto build = [&](int ii,
                      const std::vector<int> &start) -> BlockSchedule {
@@ -458,8 +567,7 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                     std::vector<int> start;
                     AttemptOutcome &outcome =
                         outcomes[static_cast<size_t>(k)];
-                    outcome = timedAttempt(ops, ddg, ii, by_priority,
-                                           tab, &start);
+                    outcome = timedAttempt(in, ii, tab, &start);
                     if (outcome.ok()) {
                         cands[static_cast<size_t>(k)] =
                             build(ii, start);
@@ -494,7 +602,7 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
             if (failpoint::evaluate("sched/ii_attempt"))
                 continue; // forced infeasible.
             AttemptOutcome outcome =
-                timedAttempt(ops, ddg, ii, by_priority, table_, &start);
+                timedAttempt(in, ii, table_, &start);
             recordAttempt(outcome);
             if (!outcome.ok())
                 continue;

@@ -19,6 +19,7 @@
 #define VVSP_SCHED_MODULO_SCHEDULER_HH
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "arch/machine_model.hh"
@@ -89,7 +90,6 @@ class ModuloScheduler
     /** Resource-constrained lower bound on the II. */
     int resourceMii(const std::vector<Operation> &ops) const;
 
-  private:
     /** How one II attempt ended, and what it cost. */
     struct AttemptOutcome
     {
@@ -100,40 +100,80 @@ class ModuloScheduler
             FailRecurrence, ///< a self-recurrence cannot fit the II.
         };
         Kind kind = Kind::Ok;
-        uint64_t evictions = 0; ///< placed ops unscheduled again.
-        uint64_t us = 0;        ///< wall time; 0 with stats off.
+        uint64_t evictions = 0;  ///< placed ops unscheduled again.
+        uint64_t placements = 0; ///< ops placed, forced or not.
+        uint64_t us = 0;         ///< wall time; 0 with stats off.
 
         bool ok() const { return kind == Kind::Ok; }
     };
 
     /**
-     * One II try. `by_priority` lists op indices sorted by height
-     * (descending, ties in program order) - the scheduling priority,
-     * which is static per dependence graph, so it is computed once
-     * in schedule() and shared by every attempt. The caller supplies
-     * the reservation table (the pooled member for the sequential
-     * search, a private table per speculative task); all other
-     * scratch comes from the worker's SchedArena.
+     * One II attempt exactly as scheduleBudgeted() makes it, on its
+     * own (tests compare it against a reference kernel). Sets
+     * (*start)[i] to op i's start cycle, or -1 when the attempt ended
+     * with op i unplaced. Records no statistics.
      */
-    AttemptOutcome attempt(const std::vector<Operation> &ops,
-                           const DependenceGraph &ddg, int ii,
-                           const std::vector<int> &by_priority,
+    AttemptOutcome attemptAt(const std::vector<Operation> &ops, int ii,
+                             std::vector<int> *start) const;
+
+  private:
+    /**
+     * The read-only input every II attempt of one block shares,
+     * built once per scheduleBudgeted() call (speculative attempts
+     * read it concurrently). Ops are renumbered by scheduling
+     * priority - height descending, ties in program order - so the
+     * attempt kernel works on ranks: the next op to place is the
+     * lowest unplaced rank, and ops placed close together in time
+     * sit close together in memory.
+     */
+    struct AttemptInput
+    {
+        /** One dependence edge seen from one end. */
+        struct Arc
+        {
+            int32_t rank; ///< the other end.
+            int32_t latency;
+            int32_t distance;
+        };
+
+        std::vector<int32_t> opOf; ///< op index of each rank.
+        std::vector<ReservationTable::OpKey> keys; ///< by rank.
+        /**
+         * Packed adjacency: rank r's predecessor arcs are
+         * preds[predOff[r] .. predOff[r+1]), in the dependence
+         * graph's edge order; likewise succs. Self-edges are kept
+         * apart in selfEdges.
+         */
+        std::vector<int32_t> predOff, succOff;
+        std::vector<Arc> preds, succs;
+        /** (latency, distance) of every self-edge. */
+        std::vector<std::pair<int32_t, int32_t>> selfEdges;
+    };
+
+    /** Build ddg_ and input_ for a block. */
+    void prepare(const std::vector<Operation> &ops) const;
+
+    /**
+     * One II try. The caller supplies the reservation table (the
+     * pooled member for the sequential search, a private table per
+     * speculative task); all other scratch comes from the worker's
+     * SchedArena.
+     */
+    AttemptOutcome attempt(const AttemptInput &in, int ii,
                            ReservationTable &table,
                            std::vector<int> *start) const;
 
     /** attempt(), timed only when stats are enabled. */
-    AttemptOutcome timedAttempt(const std::vector<Operation> &ops,
-                                const DependenceGraph &ddg, int ii,
-                                const std::vector<int> &by_priority,
+    AttemptOutcome timedAttempt(const AttemptInput &in, int ii,
                                 ReservationTable &table,
                                 std::vector<int> *start) const;
 
     /**
      * Record a consumed attempt under "sched/swp/": outcome counters
      * (attempts_ok, attempts_fail_budget, attempts_fail_recurrence),
-     * evictions, and the attempt_us distribution. Called only for
-     * results consumed in ascending II order, so the counts are the
-     * same at any thread count.
+     * evictions, placements, and the attempt_us distribution. Called
+     * only for results consumed in ascending II order, so the counts
+     * are the same at any thread count.
      */
     void recordAttempt(const AttemptOutcome &outcome) const;
 
@@ -143,6 +183,7 @@ class ModuloScheduler
     mutable ReservationTable table_;
     /** Pooled across schedule() calls; rebuilt in place per block. */
     mutable DependenceGraph ddg_;
+    mutable AttemptInput input_;
     obs::StatsScope stats_;
 };
 

@@ -93,6 +93,8 @@ ReservationTable::ReservationTable(const MachineModel &machine, int ii,
     // Size the flat state once; acyclic tables grow geometrically.
     int initial_rows = ii_ > 0 ? ii_ : 64;
     ensureRows(initial_rows);
+    if (ii_ > 0)
+        rowsTouched_ = ii_;
     resetModuloBits();
 }
 
@@ -161,8 +163,12 @@ ReservationTable::reset(int ii, bool width1)
         std::memset(totalOps_.data(), 0, r * sizeof(int32_t));
     }
     rowsTouched_ = 0;
-    if (ii_ > 0)
+    if (ii_ > 0) {
+        // Every modulo row is live from the start, so the row API
+        // keeps no per-reservation high-water mark.
         ensureRows(ii_);
+        rowsTouched_ = ii_;
+    }
     resetModuloBits();
 }
 
@@ -219,10 +225,19 @@ ReservationTable::opClassId(const Operation &op) const
     return numClasses_ - 1; // anySlotOrder_.
 }
 
-const std::vector<int> &
-ReservationTable::tryOrder(const Operation &op) const
+ReservationTable::OpKey
+ReservationTable::keyOf(const Operation &op) const
 {
-    return *classOrders_[static_cast<size_t>(opClassId(op))];
+    vvsp_assert(op.cluster >= 0 && op.cluster < clusters_,
+                "op on cluster %d of %d", op.cluster, clusters_);
+    OpKey key;
+    key.cls = static_cast<int16_t>(opClassId(op));
+    key.cluster = static_cast<int16_t>(op.cluster);
+    key.dstCluster = static_cast<int16_t>(op.dstCluster);
+    key.kind = op.info().isBranch     ? OpKey::Kind::Branch
+               : op.op == Opcode::Xfer ? OpKey::Kind::Xfer
+                                       : OpKey::Kind::Slot;
+    return key;
 }
 
 bool
@@ -232,16 +247,20 @@ ReservationTable::tryReserve(const Operation &op, int cycle,
     int r = row(cycle);
     ensureRows(r + 1);
     rowsTouched_ = std::max(rowsTouched_, r + 1);
+    return reserveRow(keyOf(op), r, slot_out);
+}
 
-    const int cluster = op.cluster;
-    vvsp_assert(cluster >= 0 && cluster < clusters_,
-                "op on cluster %d of %d", cluster, clusters_);
-
+bool
+ReservationTable::reserveRow(const OpKey &key, int r, int *slot_out)
+{
+    vvsp_assert(static_cast<unsigned>(r) <
+                    static_cast<unsigned>(rowsTouched_),
+                "reserve in row %d of %d", r, rowsTouched_);
     int32_t &total = totalOps_[static_cast<size_t>(r)];
     if (width1_ && total >= 1)
         return false;
 
-    if (op.info().isBranch) {
+    if (key.kind == OpKey::Kind::Branch) {
         uint8_t &busy = branchBusy_[static_cast<size_t>(r)];
         if (busy)
             return false;
@@ -254,25 +273,28 @@ ReservationTable::tryReserve(const Operation &op, int cycle,
         return true;
     }
 
+    const size_t cluster = static_cast<size_t>(key.cluster);
+    const size_t dst = static_cast<size_t>(key.dstCluster);
+    const bool xfer = key.kind == OpKey::Kind::Xfer;
     uint8_t *send_row =
         sends_.data() + static_cast<size_t>(r) *
                             static_cast<size_t>(clusters_);
     uint8_t *recv_row =
         receives_.data() + static_cast<size_t>(r) *
                                static_cast<size_t>(clusters_);
-    if (op.op == Opcode::Xfer) {
-        if (send_row[static_cast<size_t>(cluster)] >= ports_)
+    if (xfer) {
+        if (send_row[cluster] >= ports_)
             return false;
-        if (recv_row[static_cast<size_t>(op.dstCluster)] >= ports_)
+        if (recv_row[dst] >= ports_)
             return false;
     }
 
     uint8_t *busy_row =
         slotBusy_.data() + static_cast<size_t>(r) *
                                static_cast<size_t>(stride_) +
-        static_cast<size_t>(cluster) * static_cast<size_t>(slots_);
+        cluster * static_cast<size_t>(slots_);
     int chosen = -1;
-    for (int s : tryOrder(op)) {
+    for (int s : *classOrders_[static_cast<size_t>(key.cls)]) {
         if (!busy_row[static_cast<size_t>(s)]) {
             chosen = s;
             break;
@@ -283,37 +305,28 @@ ReservationTable::tryReserve(const Operation &op, int cycle,
 
     busy_row[static_cast<size_t>(chosen)] = 1;
     total++;
-    if (op.op == Opcode::Xfer) {
-        send_row[static_cast<size_t>(cluster)]++;
-        recv_row[static_cast<size_t>(op.dstCluster)]++;
+    if (xfer) {
+        send_row[cluster]++;
+        recv_row[dst]++;
     }
     if (rowWords_ > 0) {
         uint64_t bit = uint64_t{1} << (r % 64);
         size_t w = static_cast<size_t>(r) / 64;
         size_t words = static_cast<size_t>(rowWords_);
         for (int32_t c : slotClasses_[static_cast<size_t>(chosen)]) {
-            uint8_t &cnt = classFreeCnt_[
-                (static_cast<size_t>(c) *
-                     static_cast<size_t>(clusters_) +
-                 static_cast<size_t>(cluster)) *
-                    static_cast<size_t>(ii_) +
-                static_cast<size_t>(r)];
+            size_t cc = static_cast<size_t>(c) *
+                            static_cast<size_t>(clusters_) +
+                        cluster;
+            uint8_t &cnt = classFreeCnt_[cc * static_cast<size_t>(ii_) +
+                                         static_cast<size_t>(r)];
             if (--cnt == 0)
-                classBusyBits_[(static_cast<size_t>(c) *
-                                    static_cast<size_t>(clusters_) +
-                                static_cast<size_t>(cluster)) *
-                                   words +
-                               w] |= bit;
+                classBusyBits_[cc * words + w] |= bit;
         }
-        if (op.op == Opcode::Xfer) {
-            if (send_row[static_cast<size_t>(cluster)] >= ports_)
-                sendFullBits_[static_cast<size_t>(cluster) * words +
-                              w] |= bit;
-            if (recv_row[static_cast<size_t>(op.dstCluster)] >=
-                ports_)
-                recvFullBits_[static_cast<size_t>(op.dstCluster) *
-                                  words +
-                              w] |= bit;
+        if (xfer) {
+            if (send_row[cluster] >= ports_)
+                sendFullBits_[cluster * words + w] |= bit;
+            if (recv_row[dst] >= ports_)
+                recvFullBits_[dst * words + w] |= bit;
         }
     }
     *slot_out = chosen;
@@ -327,52 +340,62 @@ ReservationTable::findFirstFit(const Operation &op, int estart,
     vvsp_assert(ii_ > 0 && rowWords_ > 0,
                 "findFirstFit needs a modulo table");
     vvsp_assert(estart >= 0, "negative estart %d", estart);
+    // Probing cycles t = estart, estart+1, ... visits rows circularly
+    // from estart's row, which is the order firstFitRow scans.
+    const int r0 = row(estart);
+    int r = firstFitRow(keyOf(op), r0, slot_out);
+    if (r < 0)
+        return -1;
+    return estart + (r >= r0 ? r - r0 : r - r0 + ii_);
+}
+
+int
+ReservationTable::firstFitRow(const OpKey &key, int r0, int *slot_out)
+{
+    vvsp_assert(ii_ > 0 && rowWords_ > 0,
+                "firstFitRow needs a modulo table");
+    vvsp_assert(r0 >= 0 && r0 < ii_, "start row %d of %d", r0, ii_);
     if (width1_) {
         // width-1 gating is per-row op totals, not tracked in the
         // bitmaps; keep the exact probing scan for this rare mode.
-        for (int t = estart; t < estart + ii_; ++t) {
-            if (tryReserve(op, t, slot_out))
-                return t;
+        for (int k = 0; k < ii_; ++k) {
+            int r = r0 + k < ii_ ? r0 + k : r0 + k - ii_;
+            if (reserveRow(key, r, slot_out))
+                return r;
         }
         return -1;
     }
 
-    // Bitmap of modulo rows that cannot take op: the incrementally
-    // maintained per-class mask (all candidate slots busy), plus for
-    // transfers the rows where either crossbar side is saturated.
-    uint64_t *busy = scanScratch_.data();
+    // Bitmap of modulo rows that cannot take the op: the
+    // incrementally maintained per-class mask (all candidate slots
+    // busy), plus for transfers the rows where either crossbar side
+    // is saturated. Bits past ii in the last word are never read:
+    // the scan below stops at row ii.
     const size_t words = static_cast<size_t>(rowWords_);
-    if (op.info().isBranch) {
-        std::memcpy(busy, branchBits_.data(),
-                    words * sizeof(uint64_t));
+    const uint64_t *busy;
+    if (key.kind == OpKey::Kind::Branch) {
+        busy = branchBits_.data();
     } else {
-        const int cluster = op.cluster;
+        const size_t cluster = static_cast<size_t>(key.cluster);
         const uint64_t *cls =
             classBusyBits_.data() +
-            (static_cast<size_t>(opClassId(op)) *
+            (static_cast<size_t>(key.cls) *
                  static_cast<size_t>(clusters_) +
-             static_cast<size_t>(cluster)) *
+             cluster) *
                 words;
-        if (op.op == Opcode::Xfer) {
-            const uint64_t *snd =
-                sendFullBits_.data() +
-                static_cast<size_t>(cluster) * words;
+        if (key.kind == OpKey::Kind::Xfer) {
+            const uint64_t *snd = sendFullBits_.data() + cluster * words;
             const uint64_t *rcv =
                 recvFullBits_.data() +
-                static_cast<size_t>(op.dstCluster) * words;
-            simdbits::or3(busy, cls, snd, rcv, words);
+                static_cast<size_t>(key.dstCluster) * words;
+            simdbits::or3(scanScratch_.data(), cls, snd, rcv, words);
+            busy = scanScratch_.data();
         } else {
-            std::memcpy(busy, cls, words * sizeof(uint64_t));
+            busy = cls;
         }
     }
-    // Rows past ii in the last word do not exist.
-    if (ii_ % 64)
-        busy[words - 1] |= ~((uint64_t{1} << (ii_ % 64)) - 1);
 
-    // First free row circularly from estart's row; probing cycles
-    // t = estart, estart+1, ... visits rows in exactly this order.
-    const int r0 = row(estart);
-    auto first_free = [&](int lo, int hi) -> int { // rows [lo, hi).
+    auto first_free = [busy](int lo, int hi) -> int { // rows [lo, hi).
         for (int w = lo / 64; w <= (hi - 1) / 64; ++w) {
             uint64_t free = ~busy[w];
             if (w == lo / 64 && lo % 64)
@@ -390,63 +413,60 @@ ReservationTable::findFirstFit(const Operation &op, int estart,
         r = first_free(0, r0);
     if (r < 0)
         return -1;
-    int t = estart + (r >= r0 ? r - r0 : r - r0 + ii_);
-    bool ok = tryReserve(op, t, slot_out);
-    vvsp_assert(ok, "free row %d rejected op at t=%d ii=%d", r, t,
-                ii_);
-    return t;
+    bool ok = reserveRow(key, r, slot_out);
+    vvsp_assert(ok, "free row %d rejected op, ii=%d", r, ii_);
+    return r;
 }
 
 void
 ReservationTable::release(const Operation &op, int cycle, int slot)
 {
-    int r = row(cycle);
-    vvsp_assert(r < rowsTouched_, "release of untouched cycle %d",
-                cycle);
+    releaseRow(keyOf(op), row(cycle), slot);
+}
+
+void
+ReservationTable::releaseRow(const OpKey &key, int r, int slot)
+{
+    vvsp_assert(static_cast<unsigned>(r) <
+                    static_cast<unsigned>(rowsTouched_),
+                "release of untouched row %d", r);
     totalOps_[static_cast<size_t>(r)]--;
     uint64_t bit = uint64_t{1} << (r % 64);
     size_t w = static_cast<size_t>(r) / 64;
     size_t words = static_cast<size_t>(rowWords_);
-    if (op.info().isBranch) {
+    if (key.kind == OpKey::Kind::Branch) {
         branchBusy_[static_cast<size_t>(r)] = 0;
         if (rowWords_ > 0)
             branchBits_[w] &= ~bit;
         return;
     }
+    const size_t cluster = static_cast<size_t>(key.cluster);
     slotBusy_[static_cast<size_t>(r) * static_cast<size_t>(stride_) +
-              static_cast<size_t>(op.cluster) *
-                  static_cast<size_t>(slots_) +
+              cluster * static_cast<size_t>(slots_) +
               static_cast<size_t>(slot)] = 0;
     if (rowWords_ > 0) {
         for (int32_t c : slotClasses_[static_cast<size_t>(slot)]) {
-            uint8_t &cnt = classFreeCnt_[
-                (static_cast<size_t>(c) *
-                     static_cast<size_t>(clusters_) +
-                 static_cast<size_t>(op.cluster)) *
-                    static_cast<size_t>(ii_) +
-                static_cast<size_t>(r)];
+            size_t cc = static_cast<size_t>(c) *
+                            static_cast<size_t>(clusters_) +
+                        cluster;
+            uint8_t &cnt = classFreeCnt_[cc * static_cast<size_t>(ii_) +
+                                         static_cast<size_t>(r)];
             if (cnt++ == 0)
-                classBusyBits_[(static_cast<size_t>(c) *
-                                    static_cast<size_t>(clusters_) +
-                                static_cast<size_t>(op.cluster)) *
-                                   words +
-                               w] &= ~bit;
+                classBusyBits_[cc * words + w] &= ~bit;
         }
     }
-    if (op.op == Opcode::Xfer) {
-        sends_[static_cast<size_t>(r) *
-                   static_cast<size_t>(clusters_) +
-               static_cast<size_t>(op.cluster)]--;
+    if (key.kind == OpKey::Kind::Xfer) {
+        const size_t dst = static_cast<size_t>(key.dstCluster);
+        sends_[static_cast<size_t>(r) * static_cast<size_t>(clusters_) +
+               cluster]--;
         receives_[static_cast<size_t>(r) *
                       static_cast<size_t>(clusters_) +
-                  static_cast<size_t>(op.dstCluster)]--;
+                  dst]--;
         // The decrement leaves the count below ports_, so the
         // saturation bits always clear.
         if (rowWords_ > 0) {
-            sendFullBits_[static_cast<size_t>(op.cluster) * words +
-                          w] &= ~bit;
-            recvFullBits_[static_cast<size_t>(op.dstCluster) * words +
-                          w] &= ~bit;
+            sendFullBits_[cluster * words + w] &= ~bit;
+            recvFullBits_[dst * words + w] &= ~bit;
         }
     }
 }

@@ -39,6 +39,29 @@ class ReservationTable
 {
   public:
     /**
+     * An operation's reservation needs, resolved once: the candidate
+     * slot class (which folds in the op's memory bank), its cluster,
+     * and whether it also holds the control slot or a crossbar
+     * route. The row API below takes keys, so a caller that places
+     * the same ops many times (the modulo scheduler's II attempts)
+     * pays for opcode lookups and bank resolution once per op, not
+     * once per probe.
+     */
+    struct OpKey
+    {
+        enum class Kind : uint8_t
+        {
+            Slot,   ///< one issue slot of its class.
+            Xfer,   ///< a slot plus a send and a receive port.
+            Branch, ///< the machine-wide control slot.
+        };
+        int16_t cls = 0;
+        int16_t cluster = 0;
+        int16_t dstCluster = 0; ///< Xfer only.
+        Kind kind = Kind::Slot;
+    };
+
+    /**
      * @param machine the target datapath.
      * @param ii      initiation interval; 0 for acyclic scheduling.
      * @param bank_of resolves memory ops' buffers to banks.
@@ -76,6 +99,26 @@ class ReservationTable
     /** Release a previous reservation (modulo-scheduler eviction). */
     void release(const Operation &op, int cycle, int slot);
 
+    /** The reservation key of an op on this table's machine. */
+    OpKey keyOf(const Operation &op) const;
+
+    /**
+     * Row API for modulo tables (ii > 0): the cycle-based calls above
+     * with the row (cycle mod ii) and the op key resolved by the
+     * caller. reserveRow(k, r) decides exactly as tryReserve(op, c)
+     * for any c with c mod ii == r, and releaseRow matches release.
+     */
+    bool reserveRow(const OpKey &key, int row, int *slot_out);
+    void releaseRow(const OpKey &key, int row, int slot);
+
+    /**
+     * First row in circular order row0, row0+1, ..., ii-1, 0, ...,
+     * row0-1 that can take the op, reserved there (slot in
+     * *slot_out); -1 when none can. findFirstFit(op, estart) is this
+     * from row0 = estart mod ii, mapped back to a cycle.
+     */
+    int firstFitRow(const OpKey &key, int row0, int *slot_out);
+
     /** Number of operations currently reserved at a cycle. */
     int opsAt(int cycle) const;
 
@@ -84,10 +127,7 @@ class ReservationTable
     void ensureRows(int rows);
     void resetModuloBits();
 
-    /** Candidate slots for an op, in reservation-preference order. */
-    const std::vector<int> &tryOrder(const Operation &op) const;
-
-    /** Dense id of the op's candidate-slot class (tryOrder list). */
+    /** Dense id of the op's candidate-slot class (classOrders_). */
     int opClassId(const Operation &op) const;
 
     const MachineModel &machine_;
@@ -150,7 +190,7 @@ class ReservationTable
     std::vector<uint64_t> recvFullBits_;   ///< clusters x words.
     std::vector<uint64_t> classBusyBits_;  ///< (class,cluster) x words.
     std::vector<uint8_t> classFreeCnt_;    ///< (class,cluster) x ii.
-    std::vector<uint64_t> scanScratch_;    ///< findFirstFit workspace.
+    std::vector<uint64_t> scanScratch_;    ///< Xfer busy-row mask.
 };
 
 } // namespace vvsp

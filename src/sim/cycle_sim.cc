@@ -70,6 +70,12 @@ struct CycleSim::Engine
 
     /** Decode/sort counters (null-sink scope when stats are off). */
     obs::StatsScope simStats;
+    /**
+     * Scheduling time inside a run, as phases nested under
+     * cycle_sim ("phase/cycle_sim/list_sched", ".../modulo_sched"),
+     * apart from the composer's own list_sched/modulo_sched phases.
+     */
+    obs::StatsScope phase;
 
     /** Execute decoded-from-binary code (CycleSim::setIsaRoundTrip). */
     bool isaRoundTrip = false;
@@ -93,7 +99,8 @@ struct CycleSim::Engine
         : fn(f), machine(m), mode(md), mem(image), lsched(m, bank_of),
           msched(m, bank_of), bankOf(bank_of),
           regs(f.numVregs() + 4096, 0),
-          simStats(obs::globalScope("sim"))
+          simStats(obs::globalScope("sim")),
+          phase(obs::globalScope("phase/cycle_sim"))
     {
     }
 
@@ -250,7 +257,10 @@ struct CycleSim::Engine
         auto key = std::make_pair(pending.front().id, pending.size());
         auto it = acyclicCache.find(key);
         if (it == acyclicCache.end()) {
-            BlockSchedule sched = lsched.schedule(pending, width1);
+            BlockSchedule sched =
+                obs::timedPhase(phase, "list_sched", [&] {
+                    return lsched.schedule(pending, width1);
+                });
             verifySchedule(pending, sched, width1);
             if (trace) {
                 obs::scheduleToTrace(
@@ -351,7 +361,10 @@ struct CycleSim::Engine
         auto mit = moduloCache.find(loop.id);
         if (mit == moduloCache.end()) {
             BlockSchedule sched =
-                msched.schedule(ops, machine.registersPerCluster());
+                obs::timedPhase(phase, "modulo_sched", [&] {
+                    return msched.schedule(
+                        ops, machine.registersPerCluster());
+                });
             verifySchedule(ops, sched, false);
             if (trace) {
                 obs::scheduleToTrace(*trace, (*tracePid)++,

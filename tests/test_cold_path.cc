@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "arch/model_registry.hh"
 #include "arch/models.hh"
 #include "ir/dependence_graph.hh"
 #include "sched/modulo_scheduler.hh"
@@ -292,6 +294,177 @@ TEST(FindFirstFit, WrapsAroundTheInterval)
     EXPECT_EQ(t.findFirstFit(ld, 3, &slot), 6);
     // Now every row is full.
     EXPECT_EQ(t.findFirstFit(ld, 3, &slot), -1);
+}
+
+/** A random op over every reservation-key kind, with banks 0, 1 and
+ *  out-of-range buffers (see rowApiBankOf). */
+Operation
+randomKeyedOp(Lcg &rng, const MachineModel &machine)
+{
+    Operation op;
+    switch (rng.next() % 8) {
+      case 0:
+        op = mk(Opcode::Add, 1, K(1), K(2));
+        break;
+      case 1:
+        op = mk(Opcode::Shl, 1, K(1), K(2));
+        break;
+      case 2:
+        op = mk(Opcode::Mul8, 1, K(3), K(5));
+        break;
+      case 3:
+        op = mk(Opcode::AbsDiff, 1, K(9), K(4));
+        break;
+      case 4:
+        op = mk(Opcode::Load, 1, K(0));
+        op.buffer = static_cast<int>(rng.next() % 3);
+        break;
+      case 5:
+      case 6:
+        op = mk(Opcode::Xfer, 1, R(9));
+        break;
+      default:
+        op.op = Opcode::Br;
+        break;
+    }
+    op.cluster = static_cast<int>(rng.next()) % machine.clusters();
+    op.dstCluster = static_cast<int>(rng.next()) % machine.clusters();
+    return op;
+}
+
+/** Buffer 0 is bank 0, buffer 1 bank 1 where the machine has two
+ *  banks, and the rest lie outside every bank (any-bank LSUs only). */
+BankOfFn
+rowApiBankOf(const MachineModel &machine)
+{
+    int banks = machine.memBanks();
+    return [banks](int buffer) {
+        if (buffer == 0)
+            return 0;
+        if (buffer == 1 && banks > 1)
+            return 1;
+        return buffer == 1 ? 3 : -1;
+    };
+}
+
+/**
+ * Same state: every probe op of every kind fits the same rows with
+ * the same slots on copies of both tables, and every row holds the
+ * same number of ops.
+ */
+void
+expectSameTableState(const ReservationTable &rows,
+                     const ReservationTable &cycles,
+                     const MachineModel &machine, int ii,
+                     const std::string &what)
+{
+    for (int r = 0; r < ii; ++r)
+        ASSERT_EQ(rows.opsAt(r), cycles.opsAt(r)) << what << " row " << r;
+    Lcg probe_rng;
+    for (int k = 0; k < 24; ++k) {
+        Operation op = randomKeyedOp(probe_rng, machine);
+        for (int r = 0; r < ii; ++r) {
+            ReservationTable a = rows, b = cycles;
+            int sa = -2, sb = -2;
+            bool fa = a.reserveRow(a.keyOf(op), r, &sa);
+            bool fb = b.tryReserve(op, r, &sb);
+            ASSERT_EQ(fa, fb) << what << " probe " << k << " row " << r;
+            ASSERT_EQ(sa, sb) << what << " probe " << k << " row " << r;
+        }
+    }
+}
+
+TEST(FindFirstFit, RowApiMatchesCycleApiOnEveryModel)
+{
+    // reserveRow / firstFitRow / releaseRow must make exactly the
+    // decisions tryReserve / findFirstFit / release make, and leave
+    // the same table behind. Random reserve, first-fit and release
+    // sequences on every registered model; I2C16S4's one crossbar
+    // port per cluster saturates quickly, its two banks have
+    // bank-specific LSUs, and the one-bank models serve out-of-range
+    // banks from their any-bank LSUs.
+    std::vector<std::string> names =
+        ModelRegistry::instance().names();
+    names.push_back("I4C8S5+2LS+AD");
+    ASSERT_GE(names.size(), 8u);
+    Lcg rng;
+    // Refusals and placements per key kind, to show the sequences
+    // reach the cases named above.
+    int xfer_refused = 0, any_bank_placed = 0, branch_placed = 0,
+        branch_refused = 0;
+    auto tally = [&](const ReservationTable::OpKey &key,
+                     const Operation &op, bool placed) {
+        using Kind = ReservationTable::OpKey::Kind;
+        if (key.kind == Kind::Xfer && !placed)
+            xfer_refused++;
+        if (key.kind == Kind::Branch)
+            (placed ? branch_placed : branch_refused)++;
+        if (placed && op.op == Opcode::Load && op.buffer == 2)
+            any_bank_placed++;
+    };
+    for (const std::string &name : names) {
+        MachineModel machine(models::byName(name));
+        BankOfFn bank_of = rowApiBankOf(machine);
+        for (int ii : {1, 2, 3, 7, 13, 64, 65, 130}) {
+            ReservationTable rows(machine, ii, bank_of);
+            ReservationTable cycles(machine, ii, bank_of);
+            struct Held
+            {
+                Operation op;
+                int cycle;
+                int slot;
+            };
+            std::vector<Held> held;
+            const std::string what =
+                name + " ii=" + std::to_string(ii);
+            for (int step = 0; step < 6 * ii + 40; ++step) {
+                Operation op = randomKeyedOp(rng, machine);
+                const ReservationTable::OpKey key = rows.keyOf(op);
+                int sa = -2, sb = -2;
+                uint32_t action = rng.next() % 5;
+                if (action == 0 && !held.empty()) {
+                    size_t k = rng.next() % held.size();
+                    rows.releaseRow(rows.keyOf(held[k].op),
+                                    held[k].cycle % ii, held[k].slot);
+                    cycles.release(held[k].op, held[k].cycle,
+                                   held[k].slot);
+                    held.erase(held.begin() +
+                               static_cast<ptrdiff_t>(k));
+                } else if (action <= 2) {
+                    int cycle = static_cast<int>(rng.next() % 300);
+                    bool fa = rows.reserveRow(key, cycle % ii, &sa);
+                    bool fb = cycles.tryReserve(op, cycle, &sb);
+                    ASSERT_EQ(fa, fb) << what << " step " << step;
+                    tally(key, op, fa);
+                    if (fa) {
+                        ASSERT_EQ(sa, sb) << what << " step " << step;
+                        held.push_back({op, cycle, sa});
+                    }
+                } else {
+                    int estart = static_cast<int>(rng.next() % 300);
+                    int r0 = estart % ii;
+                    int row = rows.firstFitRow(key, r0, &sa);
+                    int cycle = cycles.findFirstFit(op, estart, &sb);
+                    tally(key, op, row >= 0);
+                    if (row < 0) {
+                        ASSERT_EQ(cycle, -1) << what << " step " << step;
+                        continue;
+                    }
+                    ASSERT_EQ(cycle,
+                              estart + (row >= r0 ? row - r0
+                                                  : row - r0 + ii))
+                        << what << " step " << step;
+                    ASSERT_EQ(sa, sb) << what << " step " << step;
+                    held.push_back({op, cycle, sa});
+                }
+            }
+            expectSameTableState(rows, cycles, machine, ii, what);
+        }
+    }
+    EXPECT_GT(xfer_refused, 0);
+    EXPECT_GT(any_bank_placed, 0);
+    EXPECT_GT(branch_placed, 0);
+    EXPECT_GT(branch_refused, 0);
 }
 
 // ---- scheduler scratch arena ------------------------------------------
