@@ -49,7 +49,26 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
     stats_.bump("list_runs");
     ReservationTable &table = table_;
     table.reset(/*ii=*/0, width1);
-    ArenaVec<int32_t> start_a, preds_a, earliest_a, ready_a, pending_a;
+    ArenaVec<int32_t> start_a, preds_a, earliest_a, ready_a, pending_a,
+        key_index_a, refused_a;
+    // Each op's reservation key is resolved once per block, not once
+    // per probe. refused_at[k] == cycle records that key k was
+    // refused in this cycle: an acyclic table only gains
+    // reservations within a cycle, so every later op with the same
+    // key would be refused too and is not probed.
+    keys_.resize(static_cast<size_t>(n));
+    std::vector<int32_t> &key_index = *key_index_a;
+    std::vector<int32_t> &refused_at = *refused_a;
+    key_index.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        if (i == branch_idx)
+            continue; // placed after the walk, never probed.
+        keys_[static_cast<size_t>(i)] =
+            table.keyOf(ops[static_cast<size_t>(i)]);
+        key_index[static_cast<size_t>(i)] =
+            table.keyIndex(keys_[static_cast<size_t>(i)]);
+    }
+    refused_at.assign(static_cast<size_t>(table.keySpace()), -1);
     std::vector<int32_t> &start = *start_a;
     std::vector<int32_t> &unplaced_preds = *preds_a;
     std::vector<int32_t> &earliest = *earliest_a;
@@ -92,18 +111,28 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
 
     int placed_count = branch_idx >= 0 ? 1 : 0;
     int cycle = 0;
+    uint64_t probes = 0;
     const int guard = 64 * n + 1024;
     while (placed_count < n) {
         vvsp_assert(cycle < guard, "list scheduler did not converge");
         size_t keep = 0;
-        for (size_t rdi = 0; rdi < ready.size(); ++rdi) {
+        size_t rdi = 0;
+        for (; rdi < ready.size(); ++rdi) {
             int i = ready[rdi];
             if (earliest[static_cast<size_t>(i)] > cycle) {
                 ready[keep++] = i;
                 continue;
             }
+            int32_t &refused =
+                refused_at[static_cast<size_t>(
+                    key_index[static_cast<size_t>(i)])];
+            if (refused == cycle) {
+                ready[keep++] = i;
+                continue;
+            }
+            ++probes;
             int slot = -1;
-            if (table.tryReserve(ops[static_cast<size_t>(i)], cycle,
+            if (table.tryReserve(keys_[static_cast<size_t>(i)], cycle,
                                  &slot)) {
                 start[static_cast<size_t>(i)] = cycle;
                 result.placed[static_cast<size_t>(i)] =
@@ -123,10 +152,19 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
                         pending.push_back(edge.to);
                     }
                 }
+                if (width1) {
+                    // One op per instruction: the table refuses every
+                    // later probe this cycle.
+                    ++rdi;
+                    break;
+                }
             } else {
+                refused = cycle;
                 ready[keep++] = i;
             }
         }
+        for (; rdi < ready.size(); ++rdi)
+            ready[keep++] = ready[rdi];
         ready.resize(keep);
         for (int32_t i : pending) {
             ready.insert(std::lower_bound(ready.begin(), ready.end(),
@@ -181,6 +219,8 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
 
     result.instructions = result.length;
     result.maxLive = maxLivePerCluster(ops, result, machine_, 0);
+    if (stats_.enabled())
+        stats_.scope("list").bump("probes", probes);
     return result;
 }
 

@@ -51,6 +51,8 @@ class ListScheduler
     mutable ReservationTable table_;
     /** Pooled across schedule() calls; rebuilt in place per block. */
     mutable DependenceGraph ddg_;
+    /** Per-op reservation keys; pooled across schedule() calls. */
+    mutable std::vector<ReservationTable::OpKey> keys_;
     obs::StatsScope stats_;
 };
 

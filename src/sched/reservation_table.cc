@@ -240,14 +240,46 @@ ReservationTable::keyOf(const Operation &op) const
     return key;
 }
 
+int
+ReservationTable::keyIndex(const OpKey &key) const
+{
+    const int slot_keys = numClasses_ * clusters_;
+    switch (key.kind) {
+      case OpKey::Kind::Branch:
+        return 0;
+      case OpKey::Kind::Slot:
+        return 1 + key.cls * clusters_ + key.cluster;
+      case OpKey::Kind::Xfer:
+        break;
+    }
+    vvsp_assert(key.dstCluster >= 0 && key.dstCluster < clusters_,
+                "transfer to cluster %d of %d", key.dstCluster,
+                clusters_);
+    return 1 + slot_keys +
+           (key.cls * clusters_ + key.cluster) * clusters_ +
+           key.dstCluster;
+}
+
+int
+ReservationTable::keySpace() const
+{
+    return 1 + numClasses_ * clusters_ * (1 + clusters_);
+}
+
 bool
 ReservationTable::tryReserve(const Operation &op, int cycle,
                              int *slot_out)
 {
+    return tryReserve(keyOf(op), cycle, slot_out);
+}
+
+bool
+ReservationTable::tryReserve(const OpKey &key, int cycle, int *slot_out)
+{
     int r = row(cycle);
     ensureRows(r + 1);
     rowsTouched_ = std::max(rowsTouched_, r + 1);
-    return reserveRow(keyOf(op), r, slot_out);
+    return reserveRow(key, r, slot_out);
 }
 
 bool

@@ -85,6 +85,9 @@ class ReservationTable
      */
     bool tryReserve(const Operation &op, int cycle, int *slot_out);
 
+    /** tryReserve with the op's key resolved by the caller. */
+    bool tryReserve(const OpKey &key, int cycle, int *slot_out);
+
     /**
      * Modulo tables only (ii > 0): earliest cycle in
      * [estart, estart + ii) where op fits, reserving it there and
@@ -101,6 +104,15 @@ class ReservationTable
 
     /** The reservation key of an op on this table's machine. */
     OpKey keyOf(const Operation &op) const;
+
+    /**
+     * Dense index of a key in [0, keySpace()). Two keys share an
+     * index exactly when the table decides them alike (a slot op's
+     * dstCluster and a branch's class and cluster are ignored), so a
+     * caller can keep per-key facts in a flat array.
+     */
+    int keyIndex(const OpKey &key) const;
+    int keySpace() const;
 
     /**
      * Row API for modulo tables (ii > 0): the cycle-based calls above

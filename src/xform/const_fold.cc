@@ -8,6 +8,7 @@
  * index values and thus can be eliminated with unrolling" (Sec. 3.3).
  */
 
+#include <array>
 #include <map>
 
 #include "sim/interpreter.hh"
@@ -46,15 +47,31 @@ asImm16(uint16_t v)
     return static_cast<int16_t>(v);
 }
 
+/** Field-for-field operand equality (Operand::== skips unused fields). */
+bool
+sameOperands(const std::array<Operand, 3> &a,
+             const std::array<Operand, 3> &b)
+{
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].kind != b[i].kind || a[i].reg != b[i].reg ||
+            a[i].imm != b[i].imm) {
+            return false;
+        }
+    }
+    return true;
+}
+
 class Folder
 {
   public:
     explicit Folder(Function &fn) : fn_(fn) {}
 
-    void
+    /** Fold the whole function; true if anything changed. */
+    bool
     run()
     {
         foldList(fn_.body);
+        return changed_;
     }
 
   private:
@@ -102,6 +119,7 @@ class Folder
         if (k.value.isReg() && genOf(k.value.reg) > k.stamp)
             return; // copy source redefined since recorded.
         o = k.value;
+        changed_ = true;
     }
 
     /** Try algebraic identities; returns true if rewritten. */
@@ -185,6 +203,7 @@ class Folder
             // A statically-true predicate drops; statically-false
             // nullifies the whole operation.
             if (op.pred.isImm()) {
+                changed_ = true;
                 bool holds = (op.pred.imm != 0) == op.predSense;
                 op.pred = Operand::none();
                 op.predSense = true;
@@ -202,11 +221,16 @@ class Folder
                     op.op, static_cast<uint16_t>(op.src[0].imm),
                     static_cast<uint16_t>(op.src[1].imm),
                     static_cast<uint16_t>(op.src[2].imm));
+                const std::array<Operand, 3> folded = {
+                    Operand::ofImm(asImm16(v)), Operand::none(),
+                    Operand::none()};
+                // A Mov of an in-range immediate folds to itself.
+                changed_ |= op.op != Opcode::Mov || !sameOperands(
+                                                        op.src, folded);
                 op.op = Opcode::Mov;
-                op.src = {Operand::ofImm(asImm16(v)), Operand::none(),
-                          Operand::none()};
+                op.src = folded;
             } else {
-                simplify(op);
+                changed_ |= simplify(op);
             }
 
             if (inf.hasDst && op.dst != kNoVreg) {
@@ -235,6 +259,7 @@ class Folder
                 auto &iff = static_cast<IfNode &>(n);
                 substitute(iff.cond, known);
                 if (iff.cond.isImm()) {
+                    changed_ = true;
                     bool taken = (iff.cond.imm != 0) == iff.sense;
                     NodeList arm = std::move(taken ? iff.thenBody
                                                    : iff.elseBody);
@@ -258,6 +283,7 @@ class Folder
               case NodeKind::Loop: {
                 auto &loop = static_cast<LoopNode &>(n);
                 if (loop.tripCount == 0) {
+                    changed_ = true;
                     list.erase(list.begin() + static_cast<long>(i));
                     break;
                 }
@@ -271,6 +297,7 @@ class Folder
                 auto &brk = static_cast<BreakNode &>(n);
                 substitute(brk.cond, known);
                 if (brk.cond.isImm()) {
+                    changed_ = true;
                     bool fires = (brk.cond.imm != 0) == brk.sense;
                     if (fires) {
                         brk.cond = Operand::none();
@@ -293,14 +320,15 @@ class Folder
     Function &fn_;
     std::vector<uint32_t> regGen_;
     uint32_t tick_ = 0;
+    bool changed_ = false;
 };
 
 } // anonymous namespace
 
-void
+bool
 constFold(Function &fn)
 {
-    Folder(fn).run();
+    return Folder(fn).run();
 }
 
 } // namespace passes

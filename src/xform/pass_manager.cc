@@ -1,5 +1,7 @@
 #include "xform/passes.hh"
 
+#include <array>
+
 #include "support/logging.hh"
 
 namespace vvsp
@@ -105,12 +107,22 @@ innermostLoop(Function &fn)
 void
 cleanup(Function &fn)
 {
-    // Each constituent pass is idempotent once nothing changes; a few
-    // rounds reach the fixed point on kernel-sized functions.
+    // A round is a deterministic function of the IR and the id
+    // counters, so a round that changes neither leaves every later
+    // round nothing to do. The cap bounds functions that have not
+    // settled (DCT-traditional's unrolled block changes in all four).
+    auto counters = [&fn] {
+        return std::array<uint64_t, 3>{
+            fn.numVregs(), static_cast<uint64_t>(fn.numOpIds()),
+            static_cast<uint64_t>(fn.numNodeIds())};
+    };
     for (int round = 0; round < 4; ++round) {
-        constFold(fn);
-        localCse(fn);
-        deadCodeElim(fn);
+        const auto before = counters();
+        bool changed = constFold(fn);
+        changed |= localCse(fn);
+        changed |= deadCodeElim(fn);
+        if (!changed && counters() == before)
+            break;
     }
 }
 

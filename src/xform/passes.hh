@@ -46,21 +46,23 @@ LoopNode *innermostLoop(Function &fn);
 
 // ---- scalar optimizations -------------------------------------------
 
+// The three cleanup passes return whether they changed the function.
+
 /**
  * Constant folding, copy/constant propagation within blocks, and
  * algebraic identity simplification (x+0, x*1, x<<0, ...).
  */
-void constFold(Function &fn);
+bool constFold(Function &fn);
 
 /** Remove pure operations whose results are never read. */
-void deadCodeElim(Function &fn);
+bool deadCodeElim(Function &fn);
 
 /**
  * Local common-subexpression elimination (redundancy becomes a Mov
  * that later passes propagate away). Loads participate until a store
  * to the same buffer/token intervenes.
  */
-void localCse(Function &fn);
+bool localCse(Function &fn);
 
 /** Rewrite multiplies by simple constants into shifts and adds. */
 void strengthReduce(Function &fn);
@@ -74,7 +76,10 @@ void strengthReduce(Function &fn);
  */
 void licm(Function &fn, int max_loads = 8);
 
-/** Run constFold + localCse + deadCodeElim to a fixed point. */
+/**
+ * Run constFold + localCse + deadCodeElim to a fixed point: up to
+ * four rounds, stopping after the first round that changes nothing.
+ */
 void cleanup(Function &fn);
 
 // ---- loop restructuring ----------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "arch/models.hh"
 #include "ir/builder.hh"
+#include "kernels/kernel.hh"
 #include "ir/verifier.hh"
 #include "sim/interpreter.hh"
 #include "xform/passes.hh"
@@ -255,6 +256,70 @@ TEST(Cse, InvalidatesWhenOperandRedefined)
     auto out = runAndDump(fn);
     EXPECT_EQ(out[0], 4);
     EXPECT_EQ(out[1], 13);
+}
+
+// ---- cleanup ------------------------------------------------------------
+
+/** Rounds of four unconditional cleanup rounds that changed the IR. */
+int
+fourRounds(Function &fn)
+{
+    int changing = 0;
+    for (int round = 0; round < 4; ++round) {
+        bool changed = passes::constFold(fn);
+        changed |= passes::localCse(fn);
+        changed |= passes::deadCodeElim(fn);
+        changing += changed;
+    }
+    return changing;
+}
+
+void
+expectSameFunction(const Function &want, const Function &got,
+                   const std::string &what)
+{
+    EXPECT_EQ(want.str(), got.str()) << what;
+    EXPECT_EQ(want.numVregs(), got.numVregs()) << what;
+    EXPECT_EQ(want.numOpIds(), got.numOpIds()) << what;
+    EXPECT_EQ(want.numNodeIds(), got.numNodeIds()) << what;
+}
+
+TEST(Cleanup, StopsAtTheFixedPointWithTheSameIr)
+{
+    // cleanup() stops after the first round that changes nothing;
+    // four unconditional rounds must leave the same IR behind, at
+    // both cleanups of the lowering pipeline of every kernel variant.
+    MachineModel machine(models::byName("I4C8S4"));
+    int variants = 0, quiet = 0, busy = 0;
+    for (const KernelSpec &k : allKernels()) {
+        for (const VariantSpec &v : k.variants) {
+            const std::string what = k.name + " / " + v.name;
+            Function fn = v.build();
+            if (v.transform)
+                v.transform(fn);
+            Function ref = fn.clone();
+            int changing = fourRounds(ref);
+            passes::cleanup(fn);
+            expectSameFunction(ref, fn, what + ", first cleanup");
+            quiet += changing == 0;
+            busy += changing == 4;
+            ++variants;
+
+            for (Function *f : {&fn, &ref}) {
+                passes::strengthReduce(*f);
+                passes::decomposeMultiplies(*f, machine);
+                passes::lowerAddressing(*f, machine);
+            }
+            fourRounds(ref);
+            passes::cleanup(fn);
+            expectSameFunction(ref, fn, what + ", second cleanup");
+        }
+    }
+    // Most variants arrive at the first cleanup already clean (their
+    // transform ends in one); the fully unrolled DCT-traditional
+    // block still changes in every round.
+    EXPECT_GT(quiet, variants / 2);
+    EXPECT_GE(busy, 1);
 }
 
 // ---- strength reduction -------------------------------------------------
