@@ -14,6 +14,7 @@
 
 #include "obs/stats_registry.hh"
 #include "support/failpoint.hh"
+#include "support/fnv.hh"
 #include "support/io_retry.hh"
 #include "support/logging.hh"
 
@@ -32,12 +33,9 @@ constexpr const char *kMagic = "vvsp-experiment-cache";
 uint64_t
 fnv1a64(const std::string &s)
 {
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
+    Fnv1a64 f(Fnv1a64::kTruncatedBasis);
+    f.chars(s);
+    return f.value();
 }
 
 std::string

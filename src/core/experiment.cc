@@ -165,7 +165,7 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
                      : lowerVariant(kernel, variant, machine);
     });
 
-    AvgProfile avg(fn.numNodeIds());
+    AvgProfile avg;
     obs::timedPhase(phase, "interp_sim", [&] {
         // The hot functional simulation runs on the bytecode engine
         // (sim/bytecode.hh); the tree-walking Interpreter remains as
@@ -174,101 +174,96 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
         // machine-free profile key collapses repeat lowerings across
         // models to one interpreted cell.
         obs::StatsScope interp_stats = obs::globalScope("interp");
-        std::string profile_key;
-        uint64_t fingerprint = 0;
-        if (cache) {
-            fingerprint = functionFingerprint(fn);
-            profile_key =
-                ExperimentCache::profileKey(req, fingerprint);
-            UnitProfileEntry memo;
-            if (cache->findProfile(profile_key, memo)) {
-                interp_stats.bump("profile_memo_hits");
-                avg = std::move(memo.avg);
-                res.checked = memo.checked;
-                res.passed = memo.passed;
-                res.note = memo.note;
-                return true;
+        const uint64_t fingerprint =
+            cache ? functionFingerprint(fn) : 0;
+        bool interpreted = false;
+        auto interpret = [&] {
+            interpreted = true;
+            UnitProfileEntry out;
+            out.avg = AvgProfile(fn.numNodeIds());
+            const bool timed = interp_stats.enabled();
+            auto t0 = timed ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
+            std::shared_ptr<const BytecodeProgram> prog =
+                cache ? cache->programCached(fingerprint, fn)
+                      : std::make_shared<const BytecodeProgram>(fn);
+            BytecodeEngine engine(std::move(prog));
+            if (timed) {
+                auto t1 = std::chrono::steady_clock::now();
+                interp_stats.sample(
+                    "compile_us",
+                    static_cast<uint64_t>(
+                        std::chrono::duration_cast<
+                            std::chrono::microseconds>(t1 - t0)
+                            .count()));
+                t0 = t1;
             }
-        }
 
-        const bool timed = interp_stats.enabled();
-        auto t0 = timed ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-        std::shared_ptr<const BytecodeProgram> prog =
-            cache ? cache->programCached(fingerprint, fn)
-                  : std::make_shared<const BytecodeProgram>(fn);
-        BytecodeEngine engine(std::move(prog));
-        if (timed) {
-            auto t1 = std::chrono::steady_clock::now();
-            interp_stats.sample(
-                "compile_us",
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(t1 - t0)
-                        .count()));
-            t0 = t1;
-        }
+            if (req.check) {
+                const GoldenFn &golden = variant.goldenOverride
+                                             ? variant.goldenOverride
+                                             : kernel.golden;
+                out.checked = true;
+                out.passed = true;
+                for (int u = 0; u < req.profileUnits; ++u) {
+                    MemoryImage mem(fn);
+                    kernel.prepare(fn, mem, req.geometry, u);
+                    MemoryImage expected(fn);
+                    kernel.prepare(fn, expected, req.geometry, u);
 
-        if (req.check) {
-            const GoldenFn &golden = variant.goldenOverride
-                                         ? variant.goldenOverride
-                                         : kernel.golden;
-            res.checked = true;
-            res.passed = true;
-            for (int u = 0; u < req.profileUnits; ++u) {
-                MemoryImage mem(fn);
-                kernel.prepare(fn, mem, req.geometry, u);
-                MemoryImage expected(fn);
-                kernel.prepare(fn, expected, req.geometry, u);
+                    out.avg.accumulate(engine.run(mem));
 
-                avg.accumulate(engine.run(mem));
-
-                golden(fn, expected);
-                for (const auto &bname : kernel.outputBuffers) {
-                    int id = bufferIdByName(fn, bname);
-                    if (mem.bufferWords(id) !=
-                        expected.bufferWords(id)) {
-                        res.passed = false;
-                        res.note = "output buffer '" + bname +
-                                   "' mismatches golden on unit " +
-                                   std::to_string(u);
+                    golden(fn, expected);
+                    for (const auto &bname : kernel.outputBuffers) {
+                        int id = bufferIdByName(fn, bname);
+                        if (mem.bufferWords(id) !=
+                            expected.bufferWords(id)) {
+                            out.passed = false;
+                            out.note = "output buffer '" + bname +
+                                       "' mismatches golden on unit " +
+                                       std::to_string(u);
+                        }
                     }
                 }
+            } else {
+                // Still need a profile: interpret without checking.
+                for (int u = 0; u < req.profileUnits; ++u) {
+                    MemoryImage mem(fn);
+                    kernel.prepare(fn, mem, req.geometry, u);
+                    out.avg.accumulate(engine.run(mem));
+                }
             }
-            avg.scale(1.0 / req.profileUnits);
-        } else {
-            // Still need a profile: interpret without checking.
-            for (int u = 0; u < req.profileUnits; ++u) {
-                MemoryImage mem(fn);
-                kernel.prepare(fn, mem, req.geometry, u);
-                avg.accumulate(engine.run(mem));
+            out.avg.scale(1.0 / req.profileUnits);
+            if (timed) {
+                interp_stats.sample(
+                    "exec_us",
+                    static_cast<uint64_t>(
+                        std::chrono::duration_cast<
+                            std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count()));
             }
-            avg.scale(1.0 / req.profileUnits);
-        }
-        if (timed) {
-            interp_stats.sample(
-                "exec_us",
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()));
-        }
-
-        if (cache) {
-            UnitProfileEntry memo;
-            memo.avg = avg;
-            memo.checked = res.checked;
-            memo.passed = res.passed;
-            memo.note = res.note;
-            cache->storeProfile(profile_key, memo);
-        }
+            return out;
+        };
+        UnitProfileEntry entry =
+            cache ? cache->profileCached(
+                        ExperimentCache::profileKey(req, fingerprint),
+                        interpret)
+                  : interpret();
+        if (!interpreted)
+            interp_stats.bump("profile_memo_hits");
+        avg = std::move(entry.avg);
+        res.checked = entry.checked;
+        res.passed = entry.passed;
+        res.note = std::move(entry.note);
         return true;
     });
 
     Composer composer(machine, variant.mode);
-    res.comp = obs::timedPhase(phase, "compose",
-                               [&] { return composer.compose(fn, avg); });
+    res.comp = obs::timedPhase(phase, "compose", [&] {
+        return composer.compose(fn, avg, nullptr,
+                                cache ? &cache->swpMemo() : nullptr);
+    });
     res.cyclesPerUnit = res.comp.cyclesPerUnit;
 
     int gang = variant.gangAllClusters ? machine.clusters()

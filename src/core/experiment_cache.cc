@@ -161,27 +161,12 @@ ExperimentCache::storeResult(const std::string &key,
     }
 }
 
-bool
-ExperimentCache::findProfile(const std::string &key,
-                             UnitProfileEntry &out)
+UnitProfileEntry
+ExperimentCache::profileCached(
+    const std::string &key,
+    const std::function<UnitProfileEntry()> &interpret)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = profiles_.find(key);
-    if (it != profiles_.end()) {
-        ++stats_.profileHits;
-        out = it->second;
-        return true;
-    }
-    ++stats_.profileMisses;
-    return false;
-}
-
-void
-ExperimentCache::storeProfile(const std::string &key,
-                              const UnitProfileEntry &entry)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    profiles_.try_emplace(key, entry);
+    return profiles_.get(key, interpret);
 }
 
 std::shared_ptr<const BytecodeProgram>
@@ -216,8 +201,16 @@ ExperimentCache::setDiskCache(DiskCache *disk)
 ExperimentCacheStats
 ExperimentCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    ExperimentCacheStats s;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        s = stats_;
+    }
+    s.profileHits = profiles_.hits();
+    s.profileMisses = profiles_.misses();
+    s.moduleHits = swpMemo_.hits();
+    s.moduleMisses = swpMemo_.misses();
+    return s;
 }
 
 void
@@ -226,9 +219,10 @@ ExperimentCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     lowered_.clear();
     results_.clear();
-    profiles_.clear();
     programs_.clear();
     stats_ = ExperimentCacheStats{};
+    profiles_.clear();
+    swpMemo_.clear();
 }
 
 ExperimentCache &

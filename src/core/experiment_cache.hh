@@ -11,7 +11,7 @@
  * units, seed, and the check flag - so identical work is recognized
  * no matter which named model or harness asked for it.
  *
- * Five levels:
+ * Six levels:
  *  1. lowered-function cache: the machine-dependent lowering of a
  *     (kernel, variant, machine) triple, reused across geometries
  *     and profile depths; hits hand out a deep clone because the
@@ -24,12 +24,21 @@
  *     and run parameters but NOT by machine - different machines
  *     whose lowerings coincide replay the stored profile instead of
  *     re-interpreting;
- *  4. result cache: the complete ExperimentResult of a cell
+ *  4. loop-schedule memo (sched/schedule_memo.hh): the modulo
+ *     schedule of a software-pipelined loop body, keyed by machine
+ *     and body content, so cells that differ elsewhere still share
+ *     the II search of an identical loop;
+ *  5. result cache: the complete ExperimentResult of a cell
  *     (interpreter profile folded into the composed schedule), with
  *     only the display model name patched per request;
- *  5. optional persistent layer (see disk_cache.hh): result-cache
+ *  6. optional persistent layer (see disk_cache.hh): result-cache
  *     misses consult the disk before recomputing, and first writers
  *     publish their result for future processes.
+ *
+ * The two memos (3 and 4) are single-flight: a cell that needs an
+ * entry another cell is computing waits for it rather than
+ * computing it twice, so their hit and miss counts are the same at
+ * every thread count.
  *
  * All methods are thread-safe; the sweep runner's workers share one
  * instance.
@@ -39,12 +48,15 @@
 #define VVSP_CORE_EXPERIMENT_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "core/experiment.hh"
+#include "sched/schedule_memo.hh"
+#include "support/single_flight.hh"
 
 namespace vvsp
 {
@@ -65,16 +77,20 @@ struct ExperimentCacheStats
     /** Disk lookups that found no usable entry. */
     uint64_t diskMisses = 0;
     uint64_t diskStores = 0;
-    /** Unit-profile memo (machine-independent interp results). */
+    /**
+     * Unit-profile memo (machine-independent interp results). A miss
+     * is one interpretation.
+     */
     uint64_t profileHits = 0;
     uint64_t profileMisses = 0;
     /** Compiled bytecode-program cache. */
     uint64_t programHits = 0;
     uint64_t programMisses = 0;
     /**
-     * Always 0: there is no schedule-module level any more. Kept
-     * only because the repository benchmark (perfbench/) still
-     * reports them as cache.module_{hits,misses}.
+     * Loop-schedule memo (swpMemo()): a hit is a software-pipelined
+     * loop body whose schedule came back without scheduling, a miss
+     * one run of the modulo scheduler. (The names are those the
+     * repository benchmark reports, cache.module_{hits,misses}.)
      */
     uint64_t moduleHits = 0;
     uint64_t moduleMisses = 0;
@@ -149,12 +165,17 @@ class ExperimentCache
     void storeResult(const std::string &key,
                      const ExperimentResult &res);
 
-    /** Look up a memoized interp_sim outcome (in-memory only). */
-    bool findProfile(const std::string &key, UnitProfileEntry &out);
+    /**
+     * The memoized interp_sim outcome under `key`, or the one
+     * `interpret()` produces on a miss (single-flight; in-memory
+     * only).
+     */
+    UnitProfileEntry
+    profileCached(const std::string &key,
+                  const std::function<UnitProfileEntry()> &interpret);
 
-    /** Record an interp_sim outcome (first writer wins). */
-    void storeProfile(const std::string &key,
-                      const UnitProfileEntry &entry);
+    /** The loop-schedule memo, for Composer::compose. */
+    ScheduleMemo &swpMemo() { return swpMemo_; }
 
     /**
      * Compiled bytecode program for `fn`, compiling and caching on
@@ -184,12 +205,14 @@ class ExperimentCache
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Function> lowered_;
     std::unordered_map<std::string, ExperimentResult> results_;
-    std::unordered_map<std::string, UnitProfileEntry> profiles_;
     std::unordered_map<uint64_t,
                        std::shared_ptr<const BytecodeProgram>>
         programs_;
     ExperimentCacheStats stats_;
     DiskCache *disk_ = nullptr;
+    /** The two memos take their own locks, never mutex_. */
+    SingleFlight<UnitProfileEntry> profiles_;
+    ScheduleMemo swpMemo_;
 };
 
 } // namespace vvsp

@@ -100,6 +100,9 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
         cs.bump("disk_hits", after.diskHits - before.diskHits);
         cs.bump("disk_misses", after.diskMisses - before.diskMisses);
         cs.bump("disk_stores", after.diskStores - before.diskStores);
+        cs.bump("swp_memo_hits", after.moduleHits - before.moduleHits);
+        cs.bump("swp_memo_misses",
+                after.moduleMisses - before.moduleMisses);
     }
     if (stats_)
         obs::setGlobalStats(prev);

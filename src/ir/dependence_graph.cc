@@ -35,14 +35,6 @@ edgeKey(int from, int to, int distance, DepKind kind)
            static_cast<uint64_t>(kind);
 }
 
-/** Per-register dependence state, indexed directly by vreg. */
-struct RegState
-{
-    std::vector<int> writers;
-    std::vector<int> readers;     ///< pruned at unconditional kills.
-    std::vector<int> all_readers; ///< kept for carried analysis.
-};
-
 /** Memory-ordering chain state for one (buffer, aliasToken) class. */
 struct MemChain
 {
@@ -88,7 +80,12 @@ DependenceGraph::build(const std::vector<Operation> &ops,
         if (op.pred.isReg())
             max_reg = std::max(max_reg, op.pred.reg);
     }
-    std::vector<RegState> regs(static_cast<size_t>(max_reg) + 1);
+    // Pooled per-vreg state: grown, never shrunk, and empty between
+    // builds (the loop at the end clears what this build touched), so
+    // a rebuild allocates nothing once the pool is large enough.
+    if (regs_.size() <= max_reg)
+        regs_.resize(static_cast<size_t>(max_reg) + 1);
+    std::vector<RegState> &regs = regs_;
 
     auto reads = [&](const Operation &op, auto &&fn) {
         for (const auto &s : op.src) {
@@ -212,7 +209,7 @@ DependenceGraph::build(const std::vector<Operation> &ops,
 
         // Register values live around the back edge: a reader at or
         // before a writer consumes the previous iteration's value.
-        for (Vreg r = 0; r < regs.size(); ++r) {
+        for (Vreg r = 0; r <= max_reg; ++r) {
             const RegState &st = regs[static_cast<size_t>(r)];
             if (st.writers.empty() || st.all_readers.empty())
                 continue;
@@ -246,6 +243,18 @@ DependenceGraph::build(const std::vector<Operation> &ops,
                 }
             }
         }
+    }
+
+    for (const auto &op : ops) {
+        auto clear = [&regs](Vreg r) {
+            RegState &st = regs[r];
+            st.writers.clear();
+            st.readers.clear();
+            st.all_readers.clear();
+        };
+        if (op.info().hasDst)
+            clear(op.dst);
+        reads(op, clear);
     }
 
     buildCsr();

@@ -146,6 +146,14 @@ class DependenceGraph
     bool relaxationFeasible(int ii) const;
     bool parentCycle() const;
 
+    /** Per-register dependence state of one build, by vreg. */
+    struct RegState
+    {
+        std::vector<int> writers;
+        std::vector<int> readers;     ///< pruned at unconditional kills.
+        std::vector<int> all_readers; ///< kept for carried analysis.
+    };
+
     size_t num_ops_ = 0;
     std::vector<DepEdge> edges_;
     /** (from, to, distance, kind) -> edge index, for O(1) dedup. */
@@ -165,6 +173,9 @@ class DependenceGraph
     std::vector<int> heights_;
     /** Per-op result latency, computed once per build. */
     std::vector<int> opLatency_;
+    /** Build scratch, pooled across rebuilds; all entries empty
+     *  between builds. */
+    std::vector<RegState> regs_;
     /** recurrenceMii scratch (reused across feasibility probes). */
     mutable std::vector<int> bfDist_;
     mutable std::vector<int> bfParent_;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sched/reservation_table.hh"
+#include "support/fnv.hh"
 #include "support/logging.hh"
 #include "video/bitstream.hh"
 
@@ -20,41 +21,16 @@ canonicalImm(int32_t imm)
     return static_cast<int16_t>(static_cast<uint16_t>(imm));
 }
 
-/** FNV-1a 64 accumulator over canonical byte streams. */
-struct Fnv64
-{
-    uint64_t h = 14695981039346656037ull;
-
-    void
-    byte(uint8_t b)
-    {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-
-    void
-    u16(uint16_t v)
-    {
-        byte(static_cast<uint8_t>(v >> 8));
-        byte(static_cast<uint8_t>(v));
-    }
-
-    void
-    u32(uint32_t v)
-    {
-        u16(static_cast<uint16_t>(v >> 16));
-        u16(static_cast<uint16_t>(v));
-    }
-};
-
+/** Operand kind, then its register (4 bytes) or 16-bit immediate,
+ *  big-endian. */
 void
-hashOperand(Fnv64 &f, const Operand &o)
+hashOperand(Fnv1a64 &f, const Operand &o)
 {
     f.byte(static_cast<uint8_t>(o.kind));
     if (o.isReg())
-        f.u32(o.reg);
+        f.bigEndian(o.reg, 4);
     else if (o.isImm())
-        f.u16(static_cast<uint16_t>(o.imm));
+        f.bigEndian(static_cast<uint16_t>(o.imm), 2);
 }
 
 /** Encoded operand-kind descriptor (2 bits). */
@@ -139,25 +115,25 @@ operandAsm(const Operand &o)
 uint64_t
 isaOpsHash(const std::vector<Operation> &ops)
 {
-    Fnv64 f;
-    f.u32(static_cast<uint32_t>(ops.size()));
+    Fnv1a64 f;
+    f.bigEndian(ops.size(), 4);
     for (const Operation &op : ops) {
         const OpcodeInfo &info = op.info();
         f.byte(static_cast<uint8_t>(op.op));
         if (info.hasDst)
-            f.u32(op.dst);
+            f.bigEndian(op.dst, 4);
         for (int i = 0; i < info.numSrcs; ++i)
             hashOperand(f, op.src[static_cast<size_t>(i)]);
         hashOperand(f, op.pred);
         if (op.isPredicated())
             f.byte(op.predSense ? 1 : 0);
         if (info.isMemory)
-            f.u32(static_cast<uint32_t>(op.buffer));
+            f.bigEndian(static_cast<uint32_t>(op.buffer), 4);
         f.byte(static_cast<uint8_t>(op.cluster));
         if (info.fuClass == FuClass::Xbar)
             f.byte(static_cast<uint8_t>(op.dstCluster));
     }
-    return f.h;
+    return f.value();
 }
 
 IsaSection

@@ -7,6 +7,7 @@
 #include "obs/stats_registry.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/modulo_scheduler.hh"
+#include "sched/schedule_memo.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -171,6 +172,8 @@ struct Composer::Walker
 
     /** Encoded-module sink (see Composer::compose). */
     IsaModule *emit = nullptr;
+    /** Cross-cell loop-schedule memo (see Composer::compose). */
+    ScheduleMemo *memo = nullptr;
     IsaFormat fmt;
 
     std::vector<Operation> pending;
@@ -301,9 +304,12 @@ struct Composer::Walker
             SectionOutcome enc = scheduleAndEncode(
                 "swp:" + loop.label, ops, false, "modulo_sched",
                 [&] {
-                    auto swp_sched = msched.scheduleBudgeted(
-                        ops, machine.registersPerCluster(),
-                        schedBudget());
+                    const int regs = machine.registersPerCluster();
+                    auto swp_sched =
+                        memo ? memo->schedule(msched, ops, regs,
+                                              schedBudget())
+                             : msched.scheduleBudgeted(ops, regs,
+                                                       schedBudget());
                     if (swp_sched)
                         return std::move(*swp_sched);
                     // Budget exhausted with no feasible II at all:
@@ -419,13 +425,14 @@ Composer::Composer(const MachineModel &machine, ScheduleMode mode)
 
 CompositionResult
 Composer::compose(Function &fn, const AvgProfile &profile,
-                  IsaModule *emit)
+                  IsaModule *emit, ScheduleMemo *memo)
 {
     BankOfFn bank_of = [&fn](int buffer) {
         return fn.buffer(buffer).bank;
     };
     Walker walker(fn, machine_, mode_, profile, bank_of);
     walker.emit = emit;
+    walker.memo = memo;
     if (emit) {
         emit->machine = machine_.name();
         emit->name = fn.name;

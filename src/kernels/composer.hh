@@ -31,6 +31,8 @@
 namespace vvsp
 {
 
+class ScheduleMemo;
+
 /** Execution-count profile averaged over kernel units. */
 struct AvgProfile
 {
@@ -115,9 +117,15 @@ class Composer
      * the encoder's actual word count (asserted equal to the
      * scheduler's estimate). When `emit` is non-null it receives
      * the encoded module.
+     *
+     * When `memo` is non-null, software-pipelined loop bodies are
+     * scheduled through it (sched/schedule_memo.hh): a body some
+     * earlier compose already scheduled on an equal machine gets
+     * that schedule back instead of a second II search.
      */
     CompositionResult compose(Function &fn, const AvgProfile &profile,
-                              IsaModule *emit = nullptr);
+                              IsaModule *emit = nullptr,
+                              ScheduleMemo *memo = nullptr);
 
   private:
     struct Walker;

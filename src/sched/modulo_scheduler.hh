@@ -90,6 +90,10 @@ class ModuloScheduler
     /** Resource-constrained lower bound on the II. */
     int resourceMii(const std::vector<Operation> &ops) const;
 
+    /** The machine and bank map this scheduler was built for. */
+    const MachineModel &machine() const { return machine_; }
+    const BankOfFn &bankOf() const { return bank_of_; }
+
     /** How one II attempt ended, and what it cost. */
     struct AttemptOutcome
     {

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "sim/alu16.hh"
+#include "support/fnv.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -542,30 +543,22 @@ done:
 namespace
 {
 
-/** FNV-1a accumulator over the function's semantic content. */
-struct Fnv64
+/**
+ * FNV-1a over the function's semantic content: integers as 8 bytes,
+ * little-endian, from the truncated basis (see Fnv1a64).
+ */
+struct ContentHash
 {
-    uint64_t h = 1469598103934665603ull;
+    Fnv1a64 f{Fnv1a64::kTruncatedBasis};
 
-    void byte(uint8_t b)
-    {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-
-    void u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
+    void byte(uint8_t b) { f.byte(b); }
+    void u64(uint64_t v) { f.littleEndian(v, 8); }
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
 
     void str(const std::string &s)
     {
         u64(s.size());
-        for (char c : s)
-            byte(static_cast<uint8_t>(c));
+        f.chars(s);
     }
 
     void operand(const Operand &o)
@@ -579,10 +572,10 @@ struct Fnv64
 };
 
 void
-hashList(Fnv64 &fnv, const NodeList &list);
+hashList(ContentHash &fnv, const NodeList &list);
 
 void
-hashNode(Fnv64 &fnv, const Node &node)
+hashNode(ContentHash &fnv, const Node &node)
 {
     fnv.byte(static_cast<uint8_t>(node.kind()));
     fnv.i64(node.id);
@@ -635,7 +628,7 @@ hashNode(Fnv64 &fnv, const Node &node)
 }
 
 void
-hashList(Fnv64 &fnv, const NodeList &list)
+hashList(ContentHash &fnv, const NodeList &list)
 {
     fnv.u64(list.size());
     for (const auto &n : list)
@@ -647,7 +640,7 @@ hashList(Fnv64 &fnv, const NodeList &list)
 uint64_t
 functionFingerprint(const Function &fn)
 {
-    Fnv64 fnv;
+    ContentHash fnv;
     fnv.u64(fn.numVregs());
     fnv.i64(fn.numNodeIds());
     fnv.i64(fn.numOpIds());
@@ -664,7 +657,7 @@ functionFingerprint(const Function &fn)
         fnv.i64(b.maxValue);
     }
     hashList(fnv, fn.body);
-    return fnv.h;
+    return fnv.f.value();
 }
 
 } // namespace vvsp
