@@ -208,7 +208,7 @@ namespace
  * Value of `metric` in a manifest: a named metric first, else a
  * distribution-summary path "<dist path>/<field>" where field is one
  * of count/sum/min/max/p50/p90/p99 (e.g.
- * "phase/interp_sim/wall_us/sum"). Returns -1 when the run measured
+ * "phase/interp_sim/cpu_us/sum"). Returns -1 when the run measured
  * neither.
  */
 double
@@ -252,7 +252,7 @@ manifestValueByPath(const obs::RunManifest &run,
  * "<metric>_ceiling" keys are maximum acceptable values for
  * lower-is-better ones. The metric half of either key may also name
  * a distribution-summary field recorded in the manifest, e.g.
- * "phase/interp_sim/wall_us/sum_ceiling" bounds a phase's total wall
+ * "phase/interp_sim/cpu_us/sum_ceiling" bounds a phase's total CPU
  * time. Returns the regressions; `error` is set when the file cannot
  * be used.
  */

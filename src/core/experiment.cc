@@ -1,6 +1,5 @@
 #include "core/experiment.hh"
 
-#include <chrono>
 #include <map>
 
 #include "arch/models.hh"
@@ -43,15 +42,12 @@ timedPass(const obs::StatsScope &xform, const char *name,
         return;
     }
     uint64_t before = countOps(fn);
-    auto t0 = std::chrono::steady_clock::now();
+    obs::OwnTimer timer;
     body();
-    auto t1 = std::chrono::steady_clock::now();
+    const uint64_t wall_us = timer.wallUs();
     obs::StatsScope p = xform.scope(name);
     p.bump("runs");
-    p.sample("wall_us",
-             std::chrono::duration_cast<std::chrono::microseconds>(
-                 t1 - t0)
-                 .count());
+    p.sample("wall_us", wall_us);
     p.sample("ops_in", before);
     p.sample("ops_out", countOps(fn));
 }
@@ -81,8 +77,7 @@ assignBanks(Function &fn, const MachineModel &machine)
 }
 
 Function
-lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
-             const MachineModel &machine)
+lowerMachineFree(const KernelSpec &kernel, const VariantSpec &variant)
 {
     (void)kernel;
     Function fn = variant.build();
@@ -93,10 +88,18 @@ lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
     }
 
     obs::StatsScope xform = obs::globalScope("xform");
-    xform.bump("lowerings");
     timedPass(xform, "cleanup", fn, [&] { passes::cleanup(fn); });
     timedPass(xform, "strength_reduce", fn,
               [&] { passes::strengthReduce(fn); });
+    return fn;
+}
+
+void
+lowerForMachine(Function &fn, const VariantSpec &variant,
+                const MachineModel &machine)
+{
+    obs::StatsScope xform = obs::globalScope("xform");
+    xform.bump("lowerings");
     timedPass(xform, "decompose_multiplies", fn,
               [&] { passes::decomposeMultiplies(fn, machine); });
     timedPass(xform, "lower_addressing", fn,
@@ -130,11 +133,28 @@ lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
     }
     validateClusterAssignment(fn, machine);
     assignBanks(fn, machine);
+}
+
+Function
+lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
+             const MachineModel &machine)
+{
+    Function fn = lowerMachineFree(kernel, variant);
+    lowerForMachine(fn, variant, machine);
     return fn;
 }
 
-ExperimentResult
-runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
+namespace
+{
+
+/**
+ * runExperiment() and runOrPark(): with a `park` receiver the result
+ * key is claimed (ExperimentCache::claimResult) and a parked cell
+ * returns nullopt; with an empty one it is a plain lookup.
+ */
+std::optional<ExperimentResult>
+runCell(const ExperimentRequest &req, ExperimentCache *cache,
+        ExperimentCache::ParkedResult park)
 {
     vvsp_assert(req.kernel && req.variant, "incomplete request");
     const KernelSpec &kernel = *req.kernel;
@@ -150,8 +170,15 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
     std::string result_key;
     if (cache) {
         result_key = ExperimentCache::resultKey(req, cfg);
-        if (cache->findResult(result_key, req.model.name, res))
+        switch (cache->claimResult(result_key, req.model.name, res,
+                                   std::move(park))) {
+        case ExperimentCache::Claim::Hit:
             return res;
+        case ExperimentCache::Claim::Parked:
+            return std::nullopt;
+        case ExperimentCache::Claim::Owner:
+            break;
+        }
     }
     res.kernel = kernel.name;
     res.variant = variant.name;
@@ -159,9 +186,7 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
 
     obs::StatsScope phase = obs::globalScope("phase");
     Function fn = obs::timedPhase(phase, "lowering", [&] {
-        return cache ? cache->lowerCached(
-                           ExperimentCache::loweringKey(req, cfg),
-                           kernel, variant, machine)
+        return cache ? cache->lowerCached(kernel, variant, machine)
                      : lowerVariant(kernel, variant, machine);
     });
 
@@ -182,22 +207,14 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
             UnitProfileEntry out;
             out.avg = AvgProfile(fn.numNodeIds());
             const bool timed = interp_stats.enabled();
-            auto t0 = timed ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
+            obs::OwnTimer compile_timer;
             std::shared_ptr<const BytecodeProgram> prog =
                 cache ? cache->programCached(fingerprint, fn)
                       : std::make_shared<const BytecodeProgram>(fn);
             BytecodeEngine engine(std::move(prog));
-            if (timed) {
-                auto t1 = std::chrono::steady_clock::now();
-                interp_stats.sample(
-                    "compile_us",
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(t1 - t0)
-                            .count()));
-                t0 = t1;
-            }
+            if (timed)
+                interp_stats.sample("compile_us", compile_timer.wallUs());
+            obs::OwnTimer exec_timer;
 
             if (req.check) {
                 const GoldenFn &golden = variant.goldenOverride
@@ -234,15 +251,8 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
                 }
             }
             out.avg.scale(1.0 / req.profileUnits);
-            if (timed) {
-                interp_stats.sample(
-                    "exec_us",
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count()));
-            }
+            if (timed)
+                interp_stats.sample("exec_us", exec_timer.wallUs());
             return out;
         };
         UnitProfileEntry entry =
@@ -290,11 +300,27 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
                     " region(s)";
         obs::globalScope("sched").bump("degraded_cells");
     }
-    // Degraded results are budget-dependent; never cache them (the
-    // content key doesn't include the budget).
-    if (cache && res.comp.degradedRegions == 0)
+    // Also hands the result to cells parked on the key; degraded
+    // results (budget-dependent, and the key holds no budget) are
+    // handed on but not stored.
+    if (cache)
         cache->storeResult(result_key, res);
     return res;
+}
+
+} // anonymous namespace
+
+ExperimentResult
+runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
+{
+    return *runCell(req, cache, nullptr);
+}
+
+std::optional<ExperimentResult>
+runOrPark(const ExperimentRequest &req, ExperimentCache &cache,
+          ExperimentCache::ParkedResult park)
+{
+    return runCell(req, &cache, std::move(park));
 }
 
 } // namespace vvsp

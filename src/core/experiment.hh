@@ -20,6 +20,8 @@
 #ifndef VVSP_CORE_EXPERIMENT_HH
 #define VVSP_CORE_EXPERIMENT_HH
 
+#include <functional>
+#include <optional>
 #include <string>
 
 #include "arch/machine_model.hh"
@@ -71,12 +73,43 @@ ExperimentResult runExperiment(const ExperimentRequest &req,
                                ExperimentCache *cache = nullptr);
 
 /**
+ * runExperiment() for one cell of a batch sharing `cache`: when
+ * another cell is already computing the same result key, this cell
+ * is parked instead - the call returns nullopt at once, and the
+ * owner later calls `park` (from its own thread) with its result,
+ * the model name patched to this request's. See
+ * ExperimentCache::claimResult.
+ */
+std::optional<ExperimentResult>
+runOrPark(const ExperimentRequest &req, ExperimentCache &cache,
+          std::function<void(ExperimentResult)> park);
+
+/**
  * Lower a variant's IR for a machine (steps 1-3 above) without
- * running it; exposed for tests and the cycle simulator.
+ * running it; exposed for tests and the cycle simulator. It is
+ * exactly lowerForMachine() applied to lowerMachineFree().
  */
 Function lowerVariant(const KernelSpec &kernel,
                       const VariantSpec &variant,
                       const MachineModel &machine);
+
+/**
+ * The machine-free prefix of lowerVariant(): build the variant's IR,
+ * apply its transform recipe (both verified), then cleanup and
+ * strength reduction. Nothing here reads a machine, so one result
+ * serves every model (ExperimentCache's lowered level).
+ */
+Function lowerMachineFree(const KernelSpec &kernel,
+                          const VariantSpec &variant);
+
+/**
+ * The machine part of lowerVariant(), in place on the output of
+ * lowerMachineFree() (or a clone of it): multiply decomposition,
+ * addressing, cleanup, cluster ganging and transfers, bank
+ * assignment and capacity checks.
+ */
+void lowerForMachine(Function &fn, const VariantSpec &variant,
+                     const MachineModel &machine);
 
 /** Round-robin buffers onto the cluster's memory banks. */
 void assignBanks(Function &fn, const MachineModel &machine);

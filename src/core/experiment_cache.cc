@@ -58,26 +58,17 @@ ExperimentCache::profileKey(const ExperimentRequest &req,
 }
 
 Function
-ExperimentCache::lowerCached(const std::string &key,
-                             const KernelSpec &kernel,
+ExperimentCache::lowerCached(const KernelSpec &kernel,
                              const VariantSpec &variant,
                              const MachineModel &machine)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = lowered_.find(key);
-        if (it != lowered_.end()) {
-            ++stats_.loweredHits;
-            return it->second.clone();
-        }
-        ++stats_.loweredMisses;
-    }
-    // Lower outside the lock so concurrent misses on *different*
-    // cells proceed in parallel; a duplicate miss on the same cell
-    // just does the work twice and the first insert wins.
-    Function fn = lowerVariant(kernel, variant, machine);
-    std::lock_guard<std::mutex> lock(mutex_);
-    lowered_.try_emplace(key, fn.clone());
+    std::shared_ptr<const Function> prefix =
+        lowered_.get(kernel.name + '|' + variant.name, [&] {
+            return std::make_shared<const Function>(
+                lowerMachineFree(kernel, variant));
+        });
+    Function fn = prefix->clone();
+    lowerForMachine(fn, variant, machine);
     return fn;
 }
 
@@ -85,6 +76,14 @@ bool
 ExperimentCache::findResult(const std::string &key,
                             const std::string &model_name,
                             ExperimentResult &out)
+{
+    return claimResult(key, model_name, out, nullptr) == Claim::Hit;
+}
+
+ExperimentCache::Claim
+ExperimentCache::claimResult(const std::string &key,
+                             const std::string &model_name,
+                             ExperimentResult &out, ParkedResult park)
 {
     // Lookup-latency telemetry (memo/{hit,miss}_us) when a registry
     // is installed; the scope check keeps the stats-off warm path
@@ -105,42 +104,90 @@ ExperimentCache::findResult(const std::string &key,
         }
     };
 
-    DiskCache *disk;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
+    // Under mutex_: answer from memory, else park on the key's owner,
+    // else - on a final miss - claim the key for a receiving caller.
+    // Claims are taken only after the disk misses, so a warm pass
+    // (every lookup a disk hit) never touches claims_.
+    auto fromMemory = [&](Claim *claim) {
         auto it = results_.find(key);
         if (it != results_.end()) {
             ++stats_.resultHits;
             out = it->second;
             out.model = model_name;
-            record("hit");
-            return true;
-        }
-        disk = disk_;
-        if (!disk) {
-            ++stats_.resultMisses;
-            record("miss");
+            *claim = Claim::Hit;
+        } else if (auto owner = park ? claims_.find(key) : claims_.end();
+                   owner != claims_.end()) {
+            ++stats_.resultHits;
+            owner->second.push_back({model_name, std::move(park)});
+            *claim = Claim::Parked;
+        } else {
             return false;
         }
+        record("hit");
+        return true;
+    };
+    auto miss = [&] {
+        if (park)
+            claims_.try_emplace(key);
+        ++stats_.resultMisses;
+        record("miss");
+        return Claim::Owner;
+    };
+
+    Claim claim;
+    DiskCache *disk;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (fromMemory(&claim))
+            return claim;
+        disk = disk_;
+        if (!disk)
+            return miss();
     }
     // Disk I/O happens outside the lock; concurrent misses on
     // different cells read in parallel, duplicate reads of the same
     // entry are harmless.
     ExperimentResult res;
     if (disk->load(key, res)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.diskHits;
-        results_.try_emplace(key, res);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.diskHits;
+            results_.try_emplace(key, res);
+        }
         out = std::move(res);
         out.model = model_name;
         record("hit");
-        return true;
+        return Claim::Hit;
     }
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.diskMisses;
-    ++stats_.resultMisses;
-    record("miss");
-    return false;
+    // The key's owner may have stored or claimed it during the read.
+    if (fromMemory(&claim))
+        return claim;
+    return miss();
+}
+
+std::vector<ExperimentCache::Parked>
+ExperimentCache::endClaim(const std::string &key)
+{
+    std::vector<Parked> parked;
+    auto claim = claims_.find(key);
+    if (claim != claims_.end()) {
+        parked = std::move(claim->second);
+        claims_.erase(claim);
+    }
+    return parked;
+}
+
+void
+ExperimentCache::deliver(std::vector<Parked> &parked,
+                         const ExperimentResult &res)
+{
+    for (Parked &p : parked) {
+        ExperimentResult copy = res;
+        copy.model = std::move(p.model);
+        p.deliver(std::move(copy));
+    }
 }
 
 void
@@ -148,11 +195,15 @@ ExperimentCache::storeResult(const std::string &key,
                              const ExperimentResult &res)
 {
     DiskCache *disk = nullptr;
+    std::vector<Parked> parked;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (results_.try_emplace(key, res).second)
+        if (res.comp.degradedRegions == 0 &&
+            results_.try_emplace(key, res).second)
             disk = disk_;
+        parked = endClaim(key);
     }
+    deliver(parked, res);
     // Only the first in-memory writer publishes to disk, and does so
     // outside the lock (the write is atomic-rename safe on its own).
     if (disk && disk->store(key, res)) {
@@ -206,6 +257,8 @@ ExperimentCache::stats() const
         std::lock_guard<std::mutex> lock(mutex_);
         s = stats_;
     }
+    s.loweredHits = lowered_.hits();
+    s.loweredMisses = lowered_.misses();
     s.profileHits = profiles_.hits();
     s.profileMisses = profiles_.misses();
     s.moduleHits = swpMemo_.hits();
@@ -217,10 +270,11 @@ void
 ExperimentCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    lowered_.clear();
     results_.clear();
+    claims_.clear();
     programs_.clear();
     stats_ = ExperimentCacheStats{};
+    lowered_.clear();
     profiles_.clear();
     swpMemo_.clear();
 }

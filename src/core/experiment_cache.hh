@@ -12,10 +12,11 @@
  * no matter which named model or harness asked for it.
  *
  * Six levels:
- *  1. lowered-function cache: the machine-dependent lowering of a
- *     (kernel, variant, machine) triple, reused across geometries
- *     and profile depths; hits hand out a deep clone because the
- *     composer appends materialized loop control to the function;
+ *  1. lowered-function cache: the machine-free prefix of the lowering
+ *     (lowerMachineFree: build, transform recipe, cleanup, strength
+ *     reduction) of a (kernel, variant) pair, shared by every model,
+ *     geometry and profile depth; each use gets a deep clone and
+ *     finishes the machine part (lowerForMachine) on it;
  *  2. bytecode-program cache: the flattened replay program of a
  *     lowered function, keyed by content fingerprint and shared (by
  *     shared_ptr) across cells and threads like DecodedTrace;
@@ -30,14 +31,17 @@
  *     the II search of an identical loop;
  *  5. result cache: the complete ExperimentResult of a cell
  *     (interpreter profile folded into the composed schedule), with
- *     only the display model name patched per request;
+ *     only the display model name patched per request. A sweep cell
+ *     whose result key another cell is computing parks on it
+ *     (claimResult) instead of computing it again or waiting;
  *  6. optional persistent layer (see disk_cache.hh): result-cache
  *     misses consult the disk before recomputing, and first writers
  *     publish their result for future processes.
  *
- * The two memos (3 and 4) are single-flight: a cell that needs an
- * entry another cell is computing waits for it rather than
- * computing it twice, so their hit and miss counts are the same at
+ * Levels 1, 3 and 4 are single-flight: a cell that needs an entry
+ * another cell is computing waits for it - running queued cells
+ * meanwhile - rather than computing it twice. With result parking
+ * that makes the hit and miss counts of levels 1 and 3-5 the same at
  * every thread count.
  *
  * All methods are thread-safe; the sweep runner's workers share one
@@ -53,6 +57,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "sched/schedule_memo.hh"
@@ -67,6 +72,7 @@ class DiskCache;
 /** Hit/miss counters (one snapshot; totals since construction). */
 struct ExperimentCacheStats
 {
+    /** Lowered level: a miss is one machine-free prefix lowering. */
     uint64_t loweredHits = 0;
     uint64_t loweredMisses = 0;
     /** In-memory result hits (disk hits counted separately). */
@@ -141,11 +147,11 @@ class ExperimentCache
                                   uint64_t fn_fingerprint);
 
     /**
-     * Return a deep clone of the cached lowered function, or lower
-     * now (via lowerVariant) and cache the prototype.
+     * lowerVariant(kernel, variant, machine), with its machine-free
+     * prefix taken from the lowered level (keyed by kernel|variant;
+     * single-flight) as a deep clone.
      */
-    Function lowerCached(const std::string &key,
-                         const KernelSpec &kernel,
+    Function lowerCached(const KernelSpec &kernel,
                          const VariantSpec &variant,
                          const MachineModel &machine);
 
@@ -158,9 +164,40 @@ class ExperimentCache
                     const std::string &model_name,
                     ExperimentResult &out);
 
+    /** Receives a parked cell's result (see claimResult). */
+    using ParkedResult = std::function<void(ExperimentResult)>;
+
+    /** How claimResult() ended. */
+    enum class Claim : uint8_t
+    {
+        Hit,    ///< `out` holds the result.
+        Owner,  ///< miss: the caller computes it and calls storeResult.
+        Parked, ///< another owner computes it and will call `park`.
+    };
+
     /**
-     * Record a finished cell (first writer wins). The first writer
-     * also publishes the entry to the disk layer when attached.
+     * findResult() that never computes a key twice at once: on a miss
+     * (memory and disk) the caller becomes the key's owner, and while
+     * it owns the key, later callers park - `park` is kept, the call
+     * returns Parked at once, and the owner's storeResult() calls
+     * `park` with its result (model patched to that caller's
+     * `model_name`). Nobody waits, so an owner can never block on its
+     * own duplicate.
+     * Parked lookups count as result hits, which keeps the counts
+     * equal to a serial run's. An empty `park` makes it a plain
+     * findResult() that claims nothing (a miss returns Owner).
+     */
+    Claim claimResult(const std::string &key,
+                      const std::string &model_name,
+                      ExperimentResult &out, ParkedResult park);
+
+    /**
+     * Record a finished cell (first writer wins) and hand it to the
+     * cells parked on `key`. The first writer also publishes the
+     * entry to the disk layer when attached. Degraded results depend
+     * on the scheduling budget, which the key does not hold: they go
+     * to parked cells (computed under the same budget) but are never
+     * stored.
      */
     void storeResult(const std::string &key,
                      const ExperimentResult &res);
@@ -202,15 +239,32 @@ class ExperimentCache
     static ExperimentCache &global();
 
   private:
+    /** A parked cell: its display model name and its receiver. */
+    struct Parked
+    {
+        std::string model;
+        ParkedResult deliver;
+    };
+
+    /** End the claim on `key` (mutex_ held); returns its parked
+     *  cells. */
+    std::vector<Parked> endClaim(const std::string &key);
+
+    /** Hand `res` to parked cells (outside mutex_). */
+    static void deliver(std::vector<Parked> &parked,
+                        const ExperimentResult &res);
+
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, Function> lowered_;
     std::unordered_map<std::string, ExperimentResult> results_;
+    /** Result keys owned by a claimResult() caller, and who parked. */
+    std::unordered_map<std::string, std::vector<Parked>> claims_;
     std::unordered_map<uint64_t,
                        std::shared_ptr<const BytecodeProgram>>
         programs_;
     ExperimentCacheStats stats_;
     DiskCache *disk_ = nullptr;
-    /** The two memos take their own locks, never mutex_. */
+    /** The single-flight levels take their own locks, never mutex_. */
+    SingleFlight<std::shared_ptr<const Function>> lowered_;
     SingleFlight<UnitProfileEntry> profiles_;
     ScheduleMemo swpMemo_;
 };

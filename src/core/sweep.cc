@@ -1,6 +1,9 @@
 #include "core/sweep.hh"
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
@@ -46,12 +49,43 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
     // outlive the batch's use of it.
     ModuloScheduler::setIiSearch(&pool_, pool_.threadCount());
 
-    std::vector<ExperimentResult> results(requests.size());
+    // Cells parked on another cell's result key (ExperimentCache::
+    // claimResult) get their results delivered by its owner. Owners
+    // of this batch deliver before pool_.wait() returns; the wait
+    // below is for an owner from another batch sharing the cache.
+    struct Parking
+    {
+        std::vector<ExperimentResult> results;
+        std::mutex mutex;
+        std::condition_variable delivered_cv;
+        size_t parked = 0, delivered = 0;
+    } batch;
+    std::vector<ExperimentResult> &results = batch.results;
+    results.resize(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
-        pool_.submit([this, &requests, &results, batchStart, i] {
+        pool_.submit([&, batchStart, i] {
             const ExperimentRequest &req = requests[i];
             const auto t0 = std::chrono::steady_clock::now();
-            results[i] = runExperiment(req, cache_);
+            const obs::OwnTimer own;
+            const ThreadPool::ForeignTime f0 = ThreadPool::foreignTime();
+            if (cache_) {
+                // Two captured words: std::function keeps them inline.
+                std::optional<ExperimentResult> res = runOrPark(
+                    req, *cache_, [&batch, i](ExperimentResult r) {
+                        batch.results[i] = std::move(r);
+                        std::lock_guard<std::mutex> lock(batch.mutex);
+                        ++batch.delivered;
+                        batch.delivered_cv.notify_all();
+                    });
+                if (res) {
+                    results[i] = std::move(*res);
+                } else {
+                    std::lock_guard<std::mutex> lock(batch.mutex);
+                    ++batch.parked;
+                }
+            } else {
+                results[i] = runExperiment(req, nullptr);
+            }
             if (trace_) {
                 const auto t1 = std::chrono::steady_clock::now();
                 auto us = [&batchStart](
@@ -73,19 +107,27 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
                      {"variant", req.variant->name}});
             }
             if (stats_) {
+                // The cell's own wall time, and apart from it the
+                // time it slept on single-flight keys and the time it
+                // spent running other cells while waiting.
+                const ThreadPool::ForeignTime &f1 =
+                    ThreadPool::foreignTime();
                 obs::StatsScope sweep = stats_->scope("sweep");
                 sweep.bump("cells");
-                sweep.sample(
-                    "cell_wall_us",
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count()));
+                sweep.sample("cell_wall_us", own.wallUs());
+                sweep.sample("waited_us",
+                             (f1.waitedNs - f0.waitedNs) / 1000);
+                sweep.sample("helped_us",
+                             (f1.helpedWallNs - f0.helpedWallNs) / 1000);
             }
         });
     }
     pool_.wait();
+    {
+        std::unique_lock<std::mutex> lock(batch.mutex);
+        batch.delivered_cv.wait(
+            lock, [&batch] { return batch.delivered == batch.parked; });
+    }
     ModuloScheduler::setIiSearch(nullptr, 1);
     if (stats_ && cache_) {
         // This batch's contribution to the shared cache's counters.
@@ -106,7 +148,7 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
     }
     if (stats_)
         obs::setGlobalStats(prev);
-    return results;
+    return std::move(batch.results);
 }
 
 } // namespace vvsp

@@ -3,10 +3,45 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/thread_pool.hh"
+
 namespace vvsp
 {
 namespace obs
 {
+
+OwnTimer::OwnTimer(bool with_cpu)
+    : t0_(std::chrono::steady_clock::now()), withCpu_(with_cpu)
+{
+    const ThreadPool::ForeignTime &f = ThreadPool::foreignTime();
+    helpedWall0_ = f.helpedWallNs;
+    helpedCpu0_ = f.helpedCpuNs;
+    if (withCpu_)
+        cpu0_ = ThreadPool::threadCpuNs();
+}
+
+uint64_t
+OwnTimer::wallUs() const
+{
+    const uint64_t ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0_)
+            .count());
+    const uint64_t helped =
+        ThreadPool::foreignTime().helpedWallNs - helpedWall0_;
+    return (ns > helped ? ns - helped : 0) / 1000;
+}
+
+uint64_t
+OwnTimer::cpuUs() const
+{
+    if (!withCpu_)
+        return 0;
+    const uint64_t ns = ThreadPool::threadCpuNs() - cpu0_;
+    const uint64_t helped =
+        ThreadPool::foreignTime().helpedCpuNs - helpedCpu0_;
+    return (ns > helped ? ns - helped : 0) / 1000;
+}
 
 Counter &
 StatsRegistry::counter(const std::string &path)

@@ -200,14 +200,41 @@ class StatsScope
 };
 
 /**
- * Run `body`, recording its wall time under "scope-prefix/<name>"
- * ("runs" count + "wall_us" distribution) when the scope is enabled;
- * a disabled scope costs one branch. Returns body's result. This is
- * the pipeline's phase-timing hook: runExperiment and the Composer
- * wrap lowering / interpreter-profiling / scheduling in it, and
- * `vvsp sweep --profile` reports the per-phase breakdown. wall_us
- * samples are, of course, nondeterministic; determinism-asserting
- * consumers skip *_us paths.
+ * The calling thread's own time since construction: wall time and,
+ * when asked for, thread-CPU time (CLOCK_THREAD_CPUTIME_ID), both
+ * without the time the thread spent running tasks it helped with
+ * from a single-flight wait (ThreadPool::helpOne). A timed phase or
+ * cell therefore never counts another cell's work.
+ */
+class OwnTimer
+{
+  public:
+    explicit OwnTimer(bool with_cpu = false);
+
+    /** Own wall time so far, microseconds. */
+    uint64_t wallUs() const;
+    /** Own thread-CPU time so far, microseconds (0 without cpu). */
+    uint64_t cpuUs() const;
+
+  private:
+    std::chrono::steady_clock::time_point t0_;
+    uint64_t cpu0_ = 0;
+    uint64_t helpedWall0_ = 0;
+    uint64_t helpedCpu0_ = 0;
+    bool withCpu_ = false;
+};
+
+/**
+ * Run `body`, recording its own time (OwnTimer) under
+ * "scope-prefix/<name>" ("runs" count, "wall_us" and "cpu_us"
+ * distributions) when the scope is enabled; a disabled scope costs
+ * one branch. Returns body's result. This is the pipeline's
+ * phase-timing hook: runExperiment and the Composer wrap lowering /
+ * interpreter-profiling / scheduling in it, and `vvsp sweep
+ * --profile` reports the per-phase breakdown. cpu_us is the thread's
+ * CPU time, so a preempted thread's phase reads the same there as on
+ * a quiet host. *_us samples are, of course, nondeterministic;
+ * determinism-asserting consumers skip *_us paths.
  */
 template <typename Body>
 auto
@@ -215,16 +242,14 @@ timedPhase(const StatsScope &scope, const char *name, Body &&body)
 {
     if (!scope.enabled())
         return body();
-    auto t0 = std::chrono::steady_clock::now();
+    OwnTimer timer(/*with_cpu=*/true);
     auto result = body();
-    auto t1 = std::chrono::steady_clock::now();
+    const uint64_t wall_us = timer.wallUs();
+    const uint64_t cpu_us = timer.cpuUs();
     StatsScope p = scope.scope(name);
     p.bump("runs");
-    p.sample("wall_us",
-             static_cast<uint64_t>(
-                 std::chrono::duration_cast<std::chrono::microseconds>(
-                     t1 - t0)
-                     .count()));
+    p.sample("wall_us", wall_us);
+    p.sample("cpu_us", cpu_us);
     return result;
 }
 

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <numeric>
 
 #include "sched/reg_pressure.hh"
@@ -23,6 +25,8 @@ namespace
 /** Process-wide speculative II-search configuration. */
 std::atomic<ThreadPool *> g_iiPool{nullptr};
 std::atomic<int> g_iiWidth{1};
+/** II attempts the speculative search executed, every thread. */
+std::atomic<uint64_t> g_attemptsRun{0};
 
 /**
  * x mod d for 0 <= x < 2^32 by two multiplications instead of a
@@ -61,6 +65,12 @@ ModuloScheduler::setIiSearch(ThreadPool *pool, int width)
 {
     g_iiPool.store(pool, std::memory_order_release);
     g_iiWidth.store(width, std::memory_order_release);
+}
+
+uint64_t
+ModuloScheduler::attemptsRun()
+{
+    return g_attemptsRun.load(std::memory_order_relaxed);
 }
 
 ModuloScheduler::ModuloScheduler(const MachineModel &machine,
@@ -548,50 +558,124 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     ThreadPool *pool = g_iiPool.load(std::memory_order_acquire);
     int width = g_iiWidth.load(std::memory_order_acquire);
     if (pool != nullptr && width > 1) {
-        // Speculative search: attempt a wave of candidate IIs
-        // concurrently, then replay the sequential decision over the
-        // wave's results in ascending II order. attempt() is a pure
-        // function of (ops, ddg, ii) with its own table and arena
-        // scratch, so extra speculative results are simply discarded.
-        for (int base = mii; base <= max_ii && !exhausted;) {
-            int wave = std::min(width, max_ii - base + 1);
-            std::vector<AttemptOutcome> outcomes(
-                static_cast<size_t>(wave));
-            std::vector<BlockSchedule> cands(
-                static_cast<size_t>(wave));
-            TaskGroup group(pool);
-            for (int k = 0; k < wave; ++k) {
-                group.submit([&, k, base] {
-                    int ii = base + k;
-                    ReservationTable tab(machine_, ii, bank_of_);
-                    std::vector<int> start;
-                    AttemptOutcome &outcome =
-                        outcomes[static_cast<size_t>(k)];
-                    outcome = timedAttempt(in, ii, tab, &start);
-                    if (outcome.ok()) {
-                        cands[static_cast<size_t>(k)] =
-                            build(ii, start);
-                    }
-                });
+        // Speculative search: up to width-1 helper tasks claim
+        // candidate IIs in ascending order from a shared counter and
+        // attempt them, while the caller consumes results in
+        // ascending II order with exactly the sequential search's
+        // control flow. attempt() is a pure function of (ops, ddg,
+        // ii) with its own table and arena scratch, so results nobody
+        // consumes are simply dropped. Nothing is claimed once the
+        // search has decided, past the budget, or past the lowest II
+        // whose result decides the search on its own (the caller
+        // still attempts any later II it needs itself).
+        struct Slot
+        {
+            AttemptOutcome outcome;
+            BlockSchedule cand;
+        };
+        std::mutex mutex;
+        std::condition_variable landed;
+        int next = mii; ///< lowest unclaimed II.
+        int last = ii_budget < 0
+                       ? max_ii
+                       : static_cast<int>(std::min<long>(
+                             max_ii, mii + ii_budget - 1));
+        bool stop = false;
+        std::map<int, Slot> done; ///< attempted, not yet consumed.
+
+        auto run = [&](int ii, ReservationTable &tab,
+                       std::vector<int> &start) {
+            g_attemptsRun.fetch_add(1, std::memory_order_relaxed);
+            Slot slot;
+            slot.outcome = timedAttempt(in, ii, tab, &start);
+            if (slot.outcome.ok())
+                slot.cand = build(ii, start);
+            return slot;
+        };
+        // Publish a speculative result (mutex held).
+        auto publish = [&](int ii, Slot slot) {
+            if (slot.outcome.ok() &&
+                (max_live_target <= 0 ||
+                 slot.cand.maxLive <= max_live_target))
+                last = std::min(last, ii);
+            done.emplace(ii, std::move(slot));
+        };
+        auto helper = [&] {
+            std::optional<ReservationTable> tab;
+            std::vector<int> start;
+            std::unique_lock<std::mutex> lock(mutex);
+            while (!stop && next <= last) {
+                const int ii = next++;
+                lock.unlock();
+                if (!tab)
+                    tab.emplace(machine_, ii, bank_of_);
+                Slot slot = run(ii, *tab, start);
+                lock.lock();
+                publish(ii, std::move(slot));
+                landed.notify_all();
+            }
+        };
+        // The result of `ii`: published, else attempted by the caller
+        // when unclaimed. While a helper runs it, the caller attempts
+        // the next unclaimed II, or sleeps when none may be claimed.
+        std::vector<int> start;
+        auto take = [&](int ii) {
+            std::unique_lock<std::mutex> lock(mutex);
+            for (;;) {
+                auto it = done.find(ii);
+                if (it != done.end()) {
+                    Slot slot = std::move(it->second);
+                    done.erase(it);
+                    return slot;
+                }
+                int mine;
+                if (next <= ii) {
+                    mine = ii;
+                    next = ii + 1;
+                } else if (next <= last) {
+                    mine = next++;
+                } else {
+                    landed.wait(lock);
+                    continue;
+                }
+                lock.unlock();
+                Slot slot = run(mine, table_, start);
+                if (mine == ii)
+                    return slot;
+                lock.lock();
+                publish(mine, std::move(slot));
+            }
+        };
+
+        TaskGroup group(pool);
+        for (int k = 1; k < width; ++k)
+            group.submit(helper);
+        // Helpers still queued find `stop` and return at once; the
+        // wait joins those mid-attempt before the input is reused.
+        auto finish = [&] {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                stop = true;
             }
             group.wait();
-            for (int k = 0; k < wave; ++k) {
-                if (budget-- <= 0) {
-                    exhausted = true;
-                    break;
-                }
-                if (failpoint::evaluate("sched/ii_attempt"))
-                    continue; // forced infeasible.
-                const AttemptOutcome &outcome =
-                    outcomes[static_cast<size_t>(k)];
-                recordAttempt(outcome);
-                if (!outcome.ok())
-                    continue;
-                if (consume(std::move(cands[static_cast<size_t>(k)])))
-                    return decided;
+        };
+        for (int ii = mii; ii <= max_ii; ++ii) {
+            if (budget-- <= 0) {
+                exhausted = true;
+                break;
             }
-            base += wave;
+            if (failpoint::evaluate("sched/ii_attempt"))
+                continue; // forced infeasible.
+            Slot slot = take(ii);
+            recordAttempt(slot.outcome);
+            if (!slot.outcome.ok())
+                continue;
+            if (consume(std::move(slot.cand))) {
+                finish();
+                return decided;
+            }
         }
+        finish();
     } else {
         std::vector<int> start;
         for (int ii = mii; ii <= max_ii; ++ii) {

@@ -40,17 +40,25 @@ class ModuloScheduler
     ModuloScheduler(const MachineModel &machine, BankOfFn bank_of);
 
     /**
-     * Configure process-wide speculative II search: candidate IIs of
-     * one schedule() call are attempted concurrently on `pool` in
-     * waves of `width`, and the results are consumed in ascending II
-     * order with exactly the sequential search's control flow - each
-     * attempt is a pure function of (ops, ddg, ii), so the outcome is
+     * Configure process-wide speculative II search: one schedule()
+     * call offers width-1 helper tasks to `pool`; helpers and caller
+     * claim candidate IIs in ascending order from a shared counter,
+     * and the caller consumes the results in ascending II order with
+     * exactly the sequential search's control flow - each attempt is
+     * a pure function of (ops, ddg, ii), so the outcome is
      * bit-identical to the sequential search at any thread count.
-     * width <= 1 or a null pool keeps the sequential path (the
-     * default). The pool must outlive scheduling; callers clear the
-     * configuration (nullptr, 1) when their pool goes away.
+     * No candidate starts after the search has decided; when every
+     * other worker is busy the caller attempts exactly the candidates
+     * it consumes. width <= 1 or a null pool keeps the sequential
+     * path (the default). The pool must outlive scheduling; callers
+     * clear the configuration (nullptr, 1) when their pool goes away.
      */
     static void setIiSearch(ThreadPool *pool, int width);
+
+    /** II attempts the speculative search has executed,
+     *  process-wide, consumed or not (the sequential path does not
+     *  count). */
+    static uint64_t attemptsRun();
 
     /**
      * Software-pipeline the loop-body ops (cluster fields assigned;

@@ -13,7 +13,8 @@
  *    name is not part of it);
  *  - the register-pressure target and the candidate-II budget;
  *  - the body's op count;
- *  - an FNV-1a 64 hash over every op's scheduling fields: opcode,
+ *  - a 64-bit hash over every op's scheduling fields, packed six
+ *    words per op and folded with a multiply-xorshift: opcode,
  *    destination, the three sources, the guard predicate and its
  *    sense, buffer and (for memory ops) its bank, alias token,
  *    streaming flag, cluster and destination cluster. Op ids are left

@@ -1,5 +1,8 @@
 #include "support/thread_pool.hh"
 
+#include <chrono>
+#include <ctime>
+
 #include "support/logging.hh"
 
 namespace vvsp
@@ -9,8 +12,89 @@ namespace
 {
 
 thread_local int tls_worker_index = -1;
+/** The pool the calling worker belongs to (null off-pool). */
+thread_local ThreadPool *tls_pool = nullptr;
+thread_local bool tls_helping = false;
+thread_local ThreadPool::ForeignTime tls_foreign;
+
+uint64_t
+steadyNs()
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 } // anonymous namespace
+
+uint64_t
+ThreadPool::threadCpuNs()
+{
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<uint64_t>(ts.tv_sec) * 1000000000u +
+           static_cast<uint64_t>(ts.tv_nsec);
+}
+
+bool
+ThreadPool::helping()
+{
+    return tls_helping;
+}
+
+const ThreadPool::ForeignTime &
+ThreadPool::foreignTime()
+{
+    return tls_foreign;
+}
+
+void
+ThreadPool::noteWaited(uint64_t ns)
+{
+    tls_foreign.waitedNs += ns;
+}
+
+bool
+ThreadPool::helpOne()
+{
+    if (tls_pool == nullptr || tls_helping)
+        return false;
+    const uint64_t wall0 = steadyNs();
+    const uint64_t cpu0 = threadCpuNs();
+    // The helped task's own waits are its own, not the helper's.
+    const uint64_t waited0 = tls_foreign.waitedNs;
+    bool ran = false;
+    tls_helping = true;
+    {
+        std::unique_lock<std::mutex> lock(tls_pool->mutex_);
+        if (!tls_pool->queue_.empty()) {
+            tls_pool->runFront(lock);
+            ran = true;
+        }
+    }
+    tls_helping = false;
+    tls_foreign.waitedNs = waited0;
+    if (ran) {
+        tls_foreign.helpedWallNs += steadyNs() - wall0;
+        tls_foreign.helpedCpuNs += threadCpuNs() - cpu0;
+    }
+    return ran;
+}
+
+void
+ThreadPool::runFront(std::unique_lock<std::mutex> &lock)
+{
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
+    lock.unlock();
+    task();
+    lock.lock();
+    --running_;
+    if (queue_.empty() && running_ == 0)
+        allIdle_.notify_all();
+}
 
 int
 ThreadPool::hardwareThreads()
@@ -68,26 +152,14 @@ void
 ThreadPool::workerLoop(int index)
 {
     tls_worker_index = index;
+    tls_pool = this;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // stopping and drained.
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++running_;
-        }
-        task();
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --running_;
-            if (queue_.empty() && running_ == 0)
-                allIdle_.notify_all();
-        }
+        workReady_.wait(lock,
+                        [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty())
+            return; // stopping and drained.
+        runFront(lock);
     }
 }
 

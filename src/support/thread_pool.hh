@@ -4,7 +4,9 @@
  *
  * The sweep engine's execution substrate: a small, dependency-free
  * pool that runs submitted tasks on a fixed set of worker threads
- * and lets the producer block until the queue has fully drained.
+ * and lets the producer block until the queue has fully drained. A
+ * worker waiting on a single-flight key can run queued tasks itself
+ * (helpOne) instead of sleeping.
  * Tasks must not throw (the library reports errors through
  * panic/fatal, which terminate the process).
  */
@@ -13,6 +15,7 @@
 #define VVSP_SUPPORT_THREAD_POOL_HH
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -58,8 +61,48 @@ class ThreadPool
      */
     static int currentWorkerIndex();
 
+    /**
+     * Help from a wait: run one task from the queue of the pool the
+     * calling worker belongs to, on the calling thread. Returns false
+     * without running anything off-pool, inside a helped task
+     * (helped tasks never help again, so a thread runs at most one
+     * at a time), or when the queue is empty. Only a caller that owns
+     * no single-flight key may help (support/single_flight.hh): a
+     * helped cell could need the very key the caller computes.
+     */
+    static bool helpOne();
+
+    /** Whether the calling thread is running a helped task. */
+    static bool helping();
+
+    /**
+     * Time the calling thread has spent, since it started, outside
+     * its own work: running helped tasks (wall and thread-CPU), and
+     * blocked in its own single-flight waits (a helped task's waits
+     * are that task's, and are not added). Timers subtract the
+     * helped part so a phase's time stays the phase's own
+     * (obs::OwnTimer); only differences of these counts mean
+     * anything.
+     */
+    struct ForeignTime
+    {
+        uint64_t helpedWallNs = 0;
+        uint64_t helpedCpuNs = 0;
+        uint64_t waitedNs = 0;
+    };
+    static const ForeignTime &foreignTime();
+
+    /** Add `ns` of blocked waiting to the calling thread's account. */
+    static void noteWaited(uint64_t ns);
+
+    /** CPU time of the calling thread (CLOCK_THREAD_CPUTIME_ID), ns. */
+    static uint64_t threadCpuNs();
+
   private:
     void workerLoop(int index);
+    /** Pop the front task (queue non-empty, `lock` held) and run it
+     *  unlocked; returns with `lock` held again. */
+    void runFront(std::unique_lock<std::mutex> &lock);
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;

@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/model_registry.hh"
 #include "arch/models.hh"
 #include "ir/dependence_graph.hh"
+#include "obs/stats_registry.hh"
 #include "sched/modulo_scheduler.hh"
 #include "sched/reservation_table.hh"
 #include "support/sched_arena.hh"
@@ -490,13 +494,11 @@ TEST(SchedArena, RecyclesBuffersWithinAThread)
 
 // ---- parallel II search ------------------------------------------------
 
-TEST(IiSearchParallel, BitIdenticalToSequential)
+/** Loops with some II slack, so the parallel search explores
+ *  several candidate IIs past the MII. */
+std::vector<std::vector<Operation>>
+slackLoops()
 {
-    MachineModel machine(models::i4c8s4());
-    ModuloScheduler sched(machine, bankZero());
-
-    // Loops with some II slack so the parallel search actually
-    // explores several candidate IIs past the MII.
     std::vector<std::vector<Operation>> loops;
     {
         // Resource-bound: 5 loads on one LSU, plus consumer chain.
@@ -521,35 +523,114 @@ TEST(IiSearchParallel, BitIdenticalToSequential)
                              static_cast<Vreg>(20 + i), K(i), K(1)));
         loops.push_back(ops);
     }
+    return loops;
+}
+
+void
+expectSameSchedules(const std::vector<BlockSchedule> &seq,
+                    const std::vector<BlockSchedule> &par,
+                    const std::string &what)
+{
+    ASSERT_EQ(seq.size(), par.size());
+    for (size_t l = 0; l < seq.size(); ++l) {
+        const BlockSchedule &a = seq[l];
+        const BlockSchedule &b = par[l];
+        EXPECT_EQ(a.ii, b.ii) << what << " loop " << l;
+        EXPECT_EQ(a.length, b.length) << what << " loop " << l;
+        EXPECT_EQ(a.stages, b.stages) << what << " loop " << l;
+        EXPECT_EQ(a.maxLive, b.maxLive) << what << " loop " << l;
+        ASSERT_EQ(a.placed.size(), b.placed.size());
+        for (size_t i = 0; i < a.placed.size(); ++i) {
+            EXPECT_EQ(a.placed[i].cycle, b.placed[i].cycle)
+                << what << " loop " << l << " op " << i;
+            EXPECT_EQ(a.placed[i].cluster, b.placed[i].cluster)
+                << what << " loop " << l << " op " << i;
+            EXPECT_EQ(a.placed[i].slot, b.placed[i].slot)
+                << what << " loop " << l << " op " << i;
+        }
+    }
+}
+
+TEST(IiSearchParallel, BitIdenticalToSequential)
+{
+    MachineModel machine(models::i4c8s4());
+    ModuloScheduler sched(machine, bankZero());
+    const std::vector<std::vector<Operation>> loops = slackLoops();
 
     std::vector<BlockSchedule> seq;
     for (const auto &ops : loops)
         seq.push_back(sched.schedule(ops));
 
     ThreadPool pool(4);
-    ModuloScheduler::setIiSearch(&pool, pool.threadCount());
-    std::vector<BlockSchedule> par;
-    for (const auto &ops : loops)
-        par.push_back(sched.schedule(ops));
-    ModuloScheduler::setIiSearch(nullptr, 1);
-
-    for (size_t l = 0; l < loops.size(); ++l) {
-        const BlockSchedule &a = seq[l];
-        const BlockSchedule &b = par[l];
-        EXPECT_EQ(a.ii, b.ii) << "loop " << l;
-        EXPECT_EQ(a.length, b.length) << "loop " << l;
-        EXPECT_EQ(a.stages, b.stages) << "loop " << l;
-        EXPECT_EQ(a.maxLive, b.maxLive) << "loop " << l;
-        ASSERT_EQ(a.placed.size(), b.placed.size());
-        for (size_t i = 0; i < a.placed.size(); ++i) {
-            EXPECT_EQ(a.placed[i].cycle, b.placed[i].cycle)
-                << "loop " << l << " op " << i;
-            EXPECT_EQ(a.placed[i].cluster, b.placed[i].cluster)
-                << "loop " << l << " op " << i;
-            EXPECT_EQ(a.placed[i].slot, b.placed[i].slot)
-                << "loop " << l << " op " << i;
+    for (int width : {1, 2, 4}) {
+        ModuloScheduler::setIiSearch(&pool, width);
+        std::vector<BlockSchedule> par;
+        for (const auto &ops : loops) {
+            par.push_back(sched.schedule(ops));
+            // A register target the schedules miss drives the
+            // pressure retries past the first feasible II.
+            par.push_back(sched.schedule(ops, 1));
         }
+        ModuloScheduler::setIiSearch(nullptr, 1);
+        std::vector<BlockSchedule> want;
+        for (size_t l = 0; l < loops.size(); ++l) {
+            want.push_back(seq[l]);
+            want.push_back(sched.schedule(loops[l], 1));
+        }
+        expectSameSchedules(want, par,
+                            "width " + std::to_string(width));
     }
+}
+
+TEST(IiSearchParallel, SaturatedPoolRunsOnlyTheConsumedAttempts)
+{
+    // With every other worker busy, the helpers the search offers to
+    // the pool never start, so the caller attempts exactly the
+    // candidates it consumes - no speculative attempt is wasted.
+    obs::StatsRegistry reg;
+    obs::setGlobalStats(&reg);
+    MachineModel machine(models::i4c8s4());
+    ModuloScheduler sched(machine, bankZero());
+    const std::vector<std::vector<Operation>> loops = slackLoops();
+    std::vector<BlockSchedule> seq;
+    for (const auto &ops : loops)
+        seq.push_back(sched.schedule(ops, 1));
+    auto consumed = [&reg] {
+        return reg.counterValue("sched/swp/attempts_ok") +
+               reg.counterValue("sched/swp/attempts_fail_budget") +
+               reg.counterValue("sched/swp/attempts_fail_recurrence");
+    };
+    const uint64_t consumed_seq = consumed();
+    ASSERT_GT(consumed_seq, loops.size());
+
+    ThreadPool pool(4);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<int> busy{0};
+    for (int w = 0; w < 3; ++w) {
+        pool.submit([&] {
+            busy.fetch_add(1);
+            released.wait();
+        });
+    }
+    std::vector<BlockSchedule> par;
+    uint64_t run = 0;
+    pool.submit([&] {
+        while (busy.load() < 3)
+            std::this_thread::yield();
+        ModuloScheduler::setIiSearch(&pool, 4);
+        const uint64_t before = ModuloScheduler::attemptsRun();
+        for (const auto &ops : loops)
+            par.push_back(sched.schedule(ops, 1));
+        run = ModuloScheduler::attemptsRun() - before;
+        ModuloScheduler::setIiSearch(nullptr, 1);
+        release.set_value();
+    });
+    pool.wait();
+    obs::setGlobalStats(nullptr);
+    expectSameSchedules(seq, par, "saturated");
+    EXPECT_EQ(consumed(), 2 * consumed_seq);
+    EXPECT_EQ(run, consumed_seq);
 }
 
 } // namespace

@@ -8,7 +8,8 @@
  * self-edges after every placement. The optimized kernel must match
  * it decision for decision: for every II the reference walk visits,
  * the same outcome, eviction count and start cycles, and the same
- * final schedule from scheduleBudgeted() at II-search widths 1 and 4.
+ * final schedule from scheduleBudgeted() at II-search widths 1, 2
+ * and 4.
  */
 
 #include <gtest/gtest.h>
@@ -306,10 +307,13 @@ checkBody(const std::vector<Operation> &ops, const MachineModel &machine,
     expectSameSchedule(walk.result,
                        sched.schedule(ops, max_live_target),
                        what + " width 1");
-    ModuloScheduler::setIiSearch(&pool, 4);
-    BlockSchedule wide = sched.schedule(ops, max_live_target);
-    ModuloScheduler::setIiSearch(nullptr, 1);
-    expectSameSchedule(walk.result, wide, what + " width 4");
+    for (int width : {2, 4}) {
+        ModuloScheduler::setIiSearch(&pool, width);
+        BlockSchedule wide = sched.schedule(ops, max_live_target);
+        ModuloScheduler::setIiSearch(nullptr, 1);
+        expectSameSchedule(walk.result, wide,
+                           what + " width " + std::to_string(width));
+    }
     return walk.attempts.size();
 }
 

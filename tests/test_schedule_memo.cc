@@ -18,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -31,6 +32,7 @@
 #include "core/sweep.hh"
 #include "obs/stats_registry.hh"
 #include "sched/schedule_memo.hh"
+#include "sim/bytecode.hh"
 #include "support/failpoint.hh"
 #include "support/single_flight.hh"
 #include "support/thread_pool.hh"
@@ -450,6 +452,37 @@ TEST(ScheduleMemoOracle, ReproCellsMatchWithoutTheMemo)
                 << " threads";
         }
     }
+}
+
+TEST(LoweringPrefixOracle, ReproCellsLowerIdenticallyFromTheMemo)
+{
+    // The lowered level stores the machine-free prefix once per
+    // (kernel, variant) and finishes each model's lowering on a
+    // clone: every repro cell's lowered function must equal a fresh
+    // lowerVariant() in text and in content fingerprint.
+    const std::vector<ExperimentRequest> cells = reproCells();
+    ExperimentCache cache;
+    std::set<std::string> lowerings, variants;
+    for (const ExperimentRequest &req : cells) {
+        DatapathConfig cfg = req.model;
+        if (req.variant->needsAbsDiff)
+            cfg.cluster.hasAbsDiff = true;
+        const std::string key = ExperimentCache::loweringKey(req, cfg);
+        if (!lowerings.insert(key).second)
+            continue;
+        variants.insert(req.kernel->name + '|' + req.variant->name);
+        MachineModel machine(cfg);
+        Function want = lowerVariant(*req.kernel, *req.variant, machine);
+        Function got = cache.lowerCached(*req.kernel, *req.variant,
+                                         machine);
+        EXPECT_EQ(want.str(), got.str()) << key;
+        EXPECT_EQ(functionFingerprint(want), functionFingerprint(got))
+            << key;
+    }
+    const ExperimentCacheStats s = cache.stats();
+    EXPECT_EQ(s.loweredMisses, variants.size());
+    EXPECT_EQ(s.loweredHits, lowerings.size() - variants.size());
+    EXPECT_GT(s.loweredHits, 0u);
 }
 
 } // namespace
